@@ -18,17 +18,20 @@ const char* to_string(AlertState state) {
   return "?";
 }
 
-std::uint64_t AlertManager::fingerprint(const Rule& rule, const WindowKey& key) {
-  // FNV-1a over the rule name, folded with the window key's mix — stable
-  // across runs (no pointer or ASLR input), which the e2e tests rely on.
+std::uint64_t AlertManager::rule_hash(const Rule& rule) {
+  // FNV-1a over the rule name — stable across runs (no pointer or ASLR
+  // input), which the e2e tests rely on.
   std::uint64_t h = 0xcbf29ce484222325ull;
   for (const char c : rule.name) {
     h ^= static_cast<unsigned char>(c);
     h *= 0x100000001b3ull;
   }
-  h ^= WindowKeyHash{}(key);
-  h *= 0x100000001b3ull;
   return h;
+}
+
+std::uint64_t AlertManager::fingerprint(std::uint64_t rule_hash, const WindowKey& key) {
+  // One more FNV step folds in the window key's mix.
+  return (rule_hash ^ WindowKeyHash{}(key)) * 0x100000001b3ull;
 }
 
 namespace {
@@ -44,7 +47,7 @@ void note_firing(Alert& alert, const WindowResult& win) {
 
 void AlertManager::observe(const WindowResult& win) {
   const Rule& rule = *win.rule;
-  const std::uint64_t fp = fingerprint(rule, win.key);
+  const std::uint64_t fp = fingerprint(win.rule_hash, win.key);
   auto it = tracks_.find(fp);
   if (it == tracks_.end()) {
     // Fast path: a quiet window for a key with no standing state.

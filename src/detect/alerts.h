@@ -71,7 +71,13 @@ class AlertManager {
   [[nodiscard]] const std::vector<Alert>& alerts() const { return alerts_; }
   [[nodiscard]] const AlertStats& stats() const { return stats_; }
 
-  [[nodiscard]] static std::uint64_t fingerprint(const Rule& rule, const WindowKey& key);
+  /// FNV-1a over the rule name: the per-rule half of a fingerprint.
+  [[nodiscard]] static std::uint64_t rule_hash(const Rule& rule);
+  /// Fold a window key into a rule_hash() value.
+  [[nodiscard]] static std::uint64_t fingerprint(std::uint64_t rule_hash, const WindowKey& key);
+  [[nodiscard]] static std::uint64_t fingerprint(const Rule& rule, const WindowKey& key) {
+    return fingerprint(rule_hash(rule), key);
+  }
 
  private:
   struct Track {

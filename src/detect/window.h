@@ -1,7 +1,9 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -39,6 +41,7 @@ struct WindowKeyHash {
 /// One closed window as handed to the alert pipeline.
 struct WindowResult {
   const Rule* rule = nullptr;
+  std::uint64_t rule_hash = 0;  // AlertManager::rule_hash(*rule), hashed once per engine
   WindowKey key;
   core::FlowEvent sample;  // last row seen for this key (fingerprint context)
   util::SimTime window_start = 0;
@@ -54,6 +57,7 @@ struct WindowEngineStats {
   std::uint64_t keys_created = 0;
   std::uint64_t keys_recycled = 0;  // idle-GC'd; detector returned to free list
   std::uint64_t keys_active = 0;
+  std::uint64_t keys_visited = 0;   // key slots advance() touched (its work, not its output)
 };
 
 /// Tumbling-window aggregation for one rule. Rows are keyed by
@@ -64,9 +68,18 @@ struct WindowEngineStats {
 /// rollover; `advance()` closes the rest once the stream-wide watermark
 /// (max detected_at minus lateness) passes them, emitting empty windows
 /// so detectors and the alert pipeline see quiescence. Keys idle for
-/// idle_gc_windows are garbage-collected and their detector instance is
-/// recycled through a free list — steady state allocates nothing once
-/// the key population stabilizes.
+/// idle_gc_windows are garbage-collected and their slot (detector
+/// included) is recycled through a free list — steady state allocates
+/// nothing once the key population stabilizes.
+///
+/// Key state lives in a slot arena with stable indices. Each live slot
+/// is threaded onto the intrusive due list of its open window's bucket:
+/// a ring of kRingBuckets lists covering [cursor, cursor + kRingBuckets)
+/// windows, plus one overflow list for keys far behind or far ahead of
+/// the ring. advance() pops only the buckets its target passed, so a
+/// pump costs O(rows + due windows), not O(live keys), and emits due
+/// windows in a deterministic order: overflow slots first, then ring
+/// buckets ascending, each list in link order.
 class WindowEngine {
  public:
   using Sink = std::function<void(const WindowResult&)>;
@@ -78,48 +91,90 @@ class WindowEngine {
   NETSEER_HOT void offer(const backend::StoredEvent& row, const Sink& sink);
 
   /// Advance the stream-wide watermark: close every window it has
-  /// passed, emit empty windows up to it, GC idle keys.
-  void advance(util::SimTime watermark, const Sink& sink);
+  /// passed, emit empty windows up to it, GC idle keys. Touches only the
+  /// keys whose open window lies behind the new close target.
+  NETSEER_HOT void advance(util::SimTime watermark, const Sink& sink);
 
   [[nodiscard]] const Rule& rule() const { return rule_; }
   [[nodiscard]] const WindowEngineStats& stats() const { return stats_; }
-  [[nodiscard]] std::size_t active_keys() const { return keys_.size(); }
+  [[nodiscard]] std::size_t active_keys() const { return index_.size(); }
 
  private:
+  static constexpr std::uint32_t kNil = 0xffffffffu;
+  static constexpr std::int64_t kRingBuckets = 64;  // power of two
+  static constexpr auto kOverflow = static_cast<std::uint32_t>(kRingBuckets);  // list id
+
   struct KeyState {
+    WindowKey key;
     util::SimTime window_start = 0;
     std::uint64_t rows = 0;
     std::uint64_t packets = 0;
     double latency_sum = 0.0;
     std::uint32_t idle_windows = 0;
+    // Intrusive links: the due list this slot sits on (a ring bucket or
+    // kOverflow), or the free list (next only) once GC'd.
+    std::uint32_t prev = kNil;
+    std::uint32_t next = kNil;
+    std::uint32_t list = kNil;
     core::FlowEvent sample{};
     std::unique_ptr<Detector> detector;
   };
 
-  using KeyIter = std::unordered_map<WindowKey, KeyState, WindowKeyHash>::iterator;
+  struct List {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+  };
 
   [[nodiscard]] util::SimTime bucket(util::SimTime at) const;
   [[nodiscard]] double feature_value(const KeyState& state) const;
-  void close_window(const WindowKey& key, KeyState& state, bool empty, const Sink& sink);
-  /// First row for a key: set up its state, recycling a detector off
-  /// the free list when one is available. The allocating branch of
-  /// offer(), taken once per key until the population stabilizes.
-  NETSEER_HOT_ALLOW_INIT KeyIter materialize_key(const WindowKey& key, util::SimTime start);
+  void close_window(KeyState& state, bool empty, const Sink& sink);
+  /// First row for a key: claim a slot, recycling a GC'd one (and its
+  /// detector) off the free list when one is available. The allocating
+  /// branch of offer(), taken once per key until the population
+  /// stabilizes.
+  NETSEER_HOT_ALLOW_INIT std::uint32_t materialize_key(const WindowKey& key,
+                                                       util::SimTime start);
   /// Close + empty-fill `state` up to (excluding) `next_start`; returns
   /// false when the key went idle past the GC horizon and should die.
-  bool roll_to(const WindowKey& key, KeyState& state, util::SimTime next_start,
-               const Sink& sink);
+  bool roll_to(KeyState& state, util::SimTime next_start, const Sink& sink);
+  /// Open a fresh window at `start` with a reset detector.
+  void restart(KeyState& state, util::SimTime start);
+
+  void enqueue(List& list, std::uint32_t idx);
+  /// Append all of `from` to `into` in O(1), leaving `from` empty.
+  void splice(List& into, List& from);
+  void unlink(std::uint32_t idx);
+  /// Whether bucket number `n` (window_start / window) has a ring list.
+  [[nodiscard]] bool in_ring(std::int64_t n) const;
+  /// Thread a slot onto the due list its window_start belongs to.
+  void link(std::uint32_t idx);
+  /// Walk the overflow list: slots due before bucket `target_n` move to
+  /// `due`, slots that now fit the ring move into it.
+  void sweep_overflow(std::int64_t target_n, List& due);
+  /// Idle GC: drop the key, chain the slot onto the free list.
+  void release(std::uint32_t idx);
 
   // Owned copy: WindowResult::rule points at it, and callers routinely
   // construct engines from temporaries. Engines must not be moved while
   // downstream consumers hold alert records referencing the rule.
   Rule rule_;
+  std::uint64_t rule_hash_;
   util::SimDuration window_;
   util::SimDuration lateness_;
   std::uint32_t idle_gc_windows_;
 
-  std::unordered_map<WindowKey, KeyState, WindowKeyHash> keys_;
-  std::vector<std::unique_ptr<Detector>> free_detectors_;
+  std::vector<KeyState> slots_;
+  std::unordered_map<WindowKey, std::uint32_t, WindowKeyHash> index_;
+  std::uint32_t free_head_ = kNil;
+  std::array<List, kRingBuckets + 1> lists_{};  // ring buckets, then overflow
+  // Lowest bucket number (window_start / window) the ring holds: list
+  // n & (kRingBuckets - 1) holds bucket n for n in [cursor_, cursor_ +
+  // kRingBuckets). Unset until the first advance(); before it every slot
+  // waits on the overflow list.
+  std::int64_t cursor_ = 0;
+  bool cursor_set_ = false;
+  // Lower bound on the overflow list's bucket numbers (exact after a sweep).
+  std::int64_t overflow_min_ = std::numeric_limits<std::int64_t>::max();
   WindowEngineStats stats_;
 };
 

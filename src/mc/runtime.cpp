@@ -293,16 +293,30 @@ class Runtime {
 };
 
 std::string Runtime::describe(int tid, OpKind kind, std::uint32_t obj, std::memory_order mo) const {
-  std::string out = "T" + std::to_string(tid) + " ";
+  // Appended piece by piece: gcc 12 at -O2/-O3 raises a false
+  // -Werror=restrict on inlined chains of std::string operator+.
+  std::string out = "T";
+  out += std::to_string(tid);
+  out += ' ';
   switch (kind) {
     case OpKind::kAtomicLoad:
     case OpKind::kAtomicStore:
     case OpKind::kAtomicRmw:
-      out += "atomic#" + std::to_string(obj) + "." + kind_name(kind) + "(" + order_name(mo) + ")";
+      out += "atomic#";
+      out += std::to_string(obj);
+      out += '.';
+      out += kind_name(kind);
+      out += '(';
+      out += order_name(mo);
+      out += ')';
       break;
     case OpKind::kMutexLock:
     case OpKind::kMutexUnlock:
-      out += "mutex#" + std::to_string(obj) + "." + kind_name(kind) + "()";
+      out += "mutex#";
+      out += std::to_string(obj);
+      out += '.';
+      out += kind_name(kind);
+      out += "()";
       break;
     default:
       out += kind_name(kind);
@@ -606,8 +620,9 @@ void Runtime::schedule_loop(std::unique_lock<std::mutex>& lk) {
       for (std::size_t t = 0; t < recs_.size(); ++t) {
         const ThreadRec& rec = *recs_[t];
         if (rec.finished) continue;
-        msg += " " + describe(static_cast<int>(t), rec.pending.kind, rec.pending.obj,
-                              rec.pending.mo) + " blocked;";
+        msg += ' ';
+        msg += describe(static_cast<int>(t), rec.pending.kind, rec.pending.obj, rec.pending.mo);
+        msg += " blocked;";
       }
       record_failure_locked(std::move(msg));
       abort_run_locked(lk);

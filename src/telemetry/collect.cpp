@@ -235,6 +235,7 @@ void collect(Registry& registry, const detect::DetectService& service) {
   std::uint64_t late = 0;
   std::uint64_t keys = 0;
   std::uint64_t recycled = 0;
+  std::uint64_t visited = 0;
   for (const auto& engine : service.engines()) {
     const auto& es = engine.stats();
     closed += es.windows_closed;
@@ -242,11 +243,13 @@ void collect(Registry& registry, const detect::DetectService& service) {
     late += es.late_rows;
     keys += es.keys_active;
     recycled += es.keys_recycled;
+    visited += es.keys_visited;
   }
   registry.counter(kDetect, "windows_closed").add(closed);
   registry.counter(kDetect, "windows_empty").add(empty);
   registry.counter(kDetect, "rows_late").add(late);
   registry.counter(kDetect, "keys_recycled").add(recycled);
+  registry.counter(kDetect, "keys_visited").add(visited);
   registry.gauge(kDetect, "keys_active").update_max(static_cast<std::int64_t>(keys));
 
   const auto& a = service.alerts().stats();

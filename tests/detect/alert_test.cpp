@@ -4,6 +4,9 @@
 // record instead of paging again).
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "core/event.h"
 #include "detect/alerts.h"
 
 namespace netseer::detect {
@@ -35,6 +38,7 @@ struct Fixture {
   void window(std::int64_t i, bool firing) {
     WindowResult w;
     w.rule = &rule;
+    w.rule_hash = AlertManager::rule_hash(rule);
     w.key = WindowKey{1, 9};
     w.window_start = i * set.window;
     w.result.firing = firing;
@@ -120,6 +124,7 @@ TEST(AlertManagerTest, DistinctKeysGetDistinctFingerprints) {
   Fixture f;
   WindowResult w;
   w.rule = &f.rule;
+  w.rule_hash = AlertManager::rule_hash(f.rule);
   w.result.firing = true;
   w.key = WindowKey{1, 9};
   f.manager.observe(w);
@@ -141,6 +146,56 @@ TEST(AlertManagerTest, FingerprintIsStable) {
   Rule other;
   other.name = "acl-deny";
   EXPECT_NE(fp1, AlertManager::fingerprint(other, key));
+}
+
+TEST(AlertManagerTest, FingerprintValuesArePinned) {
+  // Golden values: alert fingerprints name incidents across runs and
+  // tools, so a change to the hash is a format change, not a refactor.
+  struct Golden {
+    const char* rule;
+    WindowKey key;
+    std::uint64_t fingerprint;
+  };
+  const Golden golden[] = {
+      {"drop-burst", {0, 0x0ull}, 0x1ac4b24c739e4577ull},
+      {"drop-burst", {3, 0x1234abcdull}, 0x4472a13c2142b78bull},
+      {"acl-deny", {17, 0x1f5ull}, 0x02a15e7feca754ccull},
+      {"congestion-shift", {211, 0xffffffffull}, 0x58fb43badae8879bull},
+      {"queue-latency", {3, 0x1234abcdull}, 0xf4d5df4998e55a53ull},
+      {"pause-storm", {17, 0x1f5ull}, 0xdbe86459d8a91987ull},
+      {"", {0, 0x0ull}, 0x7432e8a0a26c100dull},
+      {"r", {211, 0xffffffffull}, 0xccc7441aecf35d71ull},
+  };
+  for (const Golden& g : golden) {
+    Rule rule;
+    rule.name = g.rule;
+    EXPECT_EQ(AlertManager::fingerprint(rule, g.key), g.fingerprint) << g.rule;
+    EXPECT_EQ(AlertManager::fingerprint(AlertManager::rule_hash(rule), g.key), g.fingerprint);
+  }
+
+  // A window engine hashes its rule once and stamps every window with
+  // it; the manager folds the key into that hash for the same value.
+  const RuleSet set = RuleSet::defaults();
+  const Rule& drop_burst = set.rules[0];
+  ASSERT_EQ(drop_burst.name, "drop-burst");
+  WindowEngine engine(drop_burst, set);
+  std::vector<WindowResult> closed;
+  const auto sink = [&](const WindowResult& win) { closed.push_back(win); };
+  packet::FlowKey flow{packet::Ipv4Addr::from_octets(10, 0, 0, 1),
+                       packet::Ipv4Addr::from_octets(10, 0, 0, 2), 6, 1000, 80};
+  engine.offer(backend::StoredEvent{core::make_event(core::EventType::kDrop, flow, 3, 0), 0},
+               sink);
+  engine.advance(2 * set.window + set.lateness, sink);
+  ASSERT_FALSE(closed.empty());
+  EXPECT_EQ(closed[0].rule_hash, AlertManager::rule_hash(drop_burst));
+
+  AlertManager manager(set);
+  WindowResult w = closed[0];
+  w.key = WindowKey{3, 0x1234abcdull};
+  w.result.firing = true;
+  manager.observe(w);
+  ASSERT_EQ(manager.alerts().size(), 1u);
+  EXPECT_EQ(manager.alerts()[0].fingerprint, 0x4472a13c2142b78bull);
 }
 
 TEST(AlertManagerTest, QuietWindowsForUnknownKeysAllocateNothing) {

@@ -119,6 +119,70 @@ TEST(WindowEngineTest, IdleKeysAreGarbageCollectedAndDetectorsRecycled) {
   EXPECT_EQ(engine.stats().keys_created, 2u);
 }
 
+TEST(WindowEngineTest, AdvanceVisitsOnlyDueKeys) {
+  const RuleSet set = test_set();
+  WindowEngine engine(drop_rule(), set);
+  std::vector<WindowResult> closed;
+  const auto sink = [&](const WindowResult& w) { closed.push_back(w); };
+  engine.advance(set.lateness, sink);  // opens the deadline ring at window 0
+
+  constexpr std::uint16_t kKeys = 50;
+  for (std::uint16_t k = 0; k < kKeys; ++k) {
+    engine.offer(drop_row(util::microseconds(100 + 10 * k), 1, kSwitch, 1000 + k), sink);
+  }
+  // Watermark moves inside window 0: no boundary crossed, no key touched.
+  engine.advance(util::microseconds(950), sink);
+  engine.advance(util::milliseconds(1), sink);  // lateness still holds window 0
+  EXPECT_EQ(engine.stats().keys_visited, 0u);
+  EXPECT_TRUE(closed.empty());
+
+  // Crossing one boundary visits each due key exactly once.
+  engine.advance(util::milliseconds(1) + set.lateness, sink);
+  EXPECT_EQ(engine.stats().keys_visited, kKeys);
+  EXPECT_EQ(closed.size(), kKeys);
+
+  // Half the keys roll into window 2 on their own (offer relinks them);
+  // crossing the next boundary visits only the half still in window 1.
+  closed.clear();
+  for (std::uint16_t k = 0; k < kKeys / 2; ++k) {
+    engine.offer(drop_row(util::microseconds(2200), 1, kSwitch, 1000 + k), sink);
+  }
+  EXPECT_EQ(closed.size(), kKeys / 2);
+  engine.advance(util::milliseconds(2) + set.lateness, sink);
+  EXPECT_EQ(engine.stats().keys_visited, kKeys + kKeys / 2);
+  EXPECT_EQ(closed.size(), kKeys);
+
+  // Crossing three boundaries still visits each key once, emitting every
+  // window of each key before the next key's.
+  closed.clear();
+  engine.advance(util::milliseconds(5) + set.lateness, sink);
+  EXPECT_EQ(engine.stats().keys_visited, 2u * kKeys + kKeys / 2);
+  ASSERT_EQ(closed.size(), 3u * kKeys);
+  for (std::size_t i = 0; i < closed.size(); i += 3) {
+    EXPECT_EQ(closed[i].key, closed[i + 2].key);
+    EXPECT_EQ(closed[i].window_start, util::milliseconds(2));
+    EXPECT_EQ(closed[i + 2].window_start, util::milliseconds(4));
+  }
+}
+
+TEST(WindowEngineTest, AdvanceEmitsOlderBucketsFirst) {
+  const RuleSet set = test_set();
+  WindowEngine engine(drop_rule(), set);
+  std::vector<WindowResult> closed;
+  const auto sink = [&](const WindowResult& w) { closed.push_back(w); };
+  engine.advance(set.lateness, sink);
+
+  engine.offer(drop_row(util::microseconds(1500), 1, kSwitch, 2000), sink);  // window 1
+  engine.offer(drop_row(util::microseconds(500), 1, kSwitch, 1000), sink);   // window 0
+  engine.advance(util::milliseconds(3) + set.lateness, sink);
+  ASSERT_EQ(closed.size(), 5u);
+  EXPECT_EQ(closed[0].sample.flow.sport, 1000);  // bucket 0's key: windows 0, 1, 2
+  EXPECT_EQ(closed[0].window_start, 0);
+  EXPECT_EQ(closed[2].window_start, util::milliseconds(2));
+  EXPECT_EQ(closed[3].sample.flow.sport, 2000);  // then bucket 1's: windows 1, 2
+  EXPECT_EQ(closed[3].window_start, util::milliseconds(1));
+}
+
 TEST(WindowEngineTest, LateRowsAreCountedNotCrashed) {
   const RuleSet set = test_set();
   WindowEngine engine(drop_rule(), set);

@@ -6,6 +6,7 @@
 
 #include <map>
 
+#include "detect/service.h"
 #include "scenarios/harness.h"
 #include "sim/simulator.h"
 #include "telemetry/collect.h"
@@ -131,6 +132,36 @@ TEST(CollectSimParity, EngineGaugesMatchTheEngineCountersExactly) {
   EXPECT_EQ(registry.gauge("sim", "alloc_per_event_ppm").value(),
             static_cast<std::int64_t>(sim.task_heap_allocs() * 1'000'000 /
                                       sim.tasks_scheduled()));
+}
+
+TEST(CollectDetectParity, KeyVisitsMatchTheEngines) {
+  // detect.keys_visited is the window engines' advance() work summed
+  // over rules: a key is touched when the watermark passes its open
+  // window, and not at all on pumps that cross no window boundary.
+  store::FlowEventStore fs{store::StoreOptions{}};
+  detect::DetectService service(fs);
+  const auto add_drops = [&](util::SimTime at, std::uint16_t first_port, std::uint16_t flows) {
+    for (std::uint16_t k = 0; k < flows; ++k) {
+      packet::FlowKey flow{packet::Ipv4Addr::from_octets(10, 0, 0, 1),
+                           packet::Ipv4Addr::from_octets(10, 0, 0, 2), 6,
+                           static_cast<std::uint16_t>(first_port + k), 80};
+      fs.add(core::make_event(core::EventType::kDrop, flow, 4, at), at);
+    }
+    fs.flush();
+    (void)fs.sync();
+    service.pump();
+  };
+  add_drops(util::microseconds(100), 1000, 20);   // first advance sweeps the 20 new keys
+  add_drops(util::microseconds(900), 1000, 20);   // same window: nothing due
+  add_drops(util::microseconds(1500), 1000, 20);  // offers roll every key themselves
+  add_drops(util::milliseconds(3), 5000, 1);      // passes window 1: the 20 keys are due
+
+  std::uint64_t visited = 0;
+  for (const auto& engine : service.engines()) visited += engine.stats().keys_visited;
+  telemetry::Registry registry;
+  telemetry::collect(registry, service);
+  EXPECT_EQ(registry.total("detect", "keys_visited"), visited);
+  EXPECT_EQ(visited, 20u + 20u);
 }
 
 }  // namespace
