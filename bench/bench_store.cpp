@@ -1,7 +1,8 @@
 // Flow-event store microbench: ingest throughput (in-memory, legacy
-// inline-durability, and group-commit durable), plus the query engine's
+// inline-durability, and group-commit durable), the query engine's
 // index/pruning behaviour and scatter-gather parallelism over a sealed
-// store.
+// store, and the query mix over a live store (sealed segments plus an
+// unsealed memtable).
 //
 //   bench_store --events 2000000 --reps 3
 //   bench_store --events 2000000 --baseline bench/BENCH_store.json
@@ -15,8 +16,10 @@
 // single-core machines), same contract as bench_scalability. The query
 // phase asserts that time-windowed queries actually prune segments (the
 // whole point of the per-segment time fences); zero pruning fails the
-// run. All gated numbers also land in the --metrics-out snapshot, which
-// is what CI parses.
+// run. The live-tail phase reports rows examined per match for each
+// query kind and fails when a flow or switch query examines more rows
+// than its postings hold. All gated numbers also land in the
+// --metrics-out snapshot, which is what CI parses.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -25,6 +28,8 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/event.h"
@@ -97,6 +102,109 @@ std::size_t query_sweep(const store::FlowEventStore& fs, util::SimTime span, dou
   }
   *wall_out = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   return total_matches;
+}
+
+/// One query kind's totals in the live-tail phase.
+struct KindTally {
+  std::vector<double> latency_us;
+  std::uint64_t examined = 0;
+  std::uint64_t matched = 0;
+  std::uint64_t posting_overruns = 0;  // queries that examined more than their posting
+
+  [[nodiscard]] double examined_per_match() const {
+    return matched == 0 ? 0.0 : static_cast<double>(examined) / static_cast<double>(matched);
+  }
+  /// Median latency: the first queries of a kind also build the lazy
+  /// indexes they read, which a mean would spread over the rest.
+  [[nodiscard]] double p50_us() const {
+    if (latency_us.empty()) return 0.0;
+    std::vector<double> sorted = latency_us;
+    std::sort(sorted.begin(), sorted.end());
+    return sorted[sorted.size() / 2];
+  }
+};
+
+struct LiveTail {
+  std::size_t segments = 0;
+  std::size_t memtable_rows = 0;
+  KindTally flow, switch_window, type_window;
+};
+
+/// Phase 6: the query mix over a live store — sealed segments whose
+/// rows arrive out of detection-time order (every fourth switch reports
+/// 3 ms late) plus an unsealed memtable of about 2 000 rows, the shape
+/// a backend tailing its collectors queries. Kinds: by flow, by switch
+/// in a 50 us window, by type in a 50 us window. A flow or switch query
+/// may examine at most the rows its postings hold (plus nothing from
+/// the memtable beyond its own posting).
+LiveTail live_tail_phase() {
+  constexpr std::uint64_t kSealed = 8 * 4096;
+  constexpr std::uint64_t kRows = kSealed + 2000;
+  constexpr int kQueriesPerKind = 600;
+  constexpr util::SimTime kWindow = 50'000;
+  EventGen gen;
+  std::vector<core::FlowEvent> events;
+  events.reserve(kRows);
+  for (std::uint64_t i = 0; i < kRows; ++i) {
+    auto ev = gen.next(i);
+    if (ev.switch_id % 4 == 0) ev.detected_at -= 3'000'000;
+    events.push_back(ev);
+  }
+  std::unordered_map<std::uint64_t, std::uint64_t> flow_rows;
+  std::unordered_map<util::NodeId, std::uint64_t> switch_rows;
+  for (const auto& ev : events) {
+    ++flow_rows[ev.flow.hash64()];
+    ++switch_rows[ev.switch_id];
+  }
+
+  store::FlowEventStore fs;
+  for (std::uint64_t off = 0; off < kRows; off += 256) {
+    const auto n = static_cast<std::size_t>(std::min<std::uint64_t>(256, kRows - off));
+    fs.add_batch(std::span<const core::FlowEvent>{events.data() + off, n},
+                 static_cast<util::SimTime>(off + n) * 100);
+  }
+  fs.flush();
+  LiveTail out;
+  out.segments = fs.segment_count();
+  std::size_t sealed = 0;
+  for (const auto& segment : fs.segments()) sealed += segment->size();
+  out.memtable_rows = fs.size() - sealed;
+
+  EventGen qgen;
+  const auto span = static_cast<std::uint64_t>(kRows * 100);
+  static constexpr core::EventType kTypes[] = {core::EventType::kDrop,
+                                               core::EventType::kCongestion};
+  for (int q = 0; q < kQueriesPerKind; ++q) {
+    for (int kind = 0; kind < 3; ++kind) {
+      const auto& sample = events[qgen.rnd() % kRows];
+      const auto from = static_cast<util::SimTime>(qgen.rnd() % span) - 3'000'000;
+      backend::EventQuery query;
+      KindTally* tally = nullptr;
+      std::uint64_t posting = 0;
+      if (kind == 0) {
+        query.for_flow(sample.flow);
+        tally = &out.flow;
+        posting = flow_rows[sample.flow.hash64()];
+      } else if (kind == 1) {
+        query.for_switch(sample.switch_id).between(from, from + kWindow);
+        tally = &out.switch_window;
+        posting = switch_rows[sample.switch_id];
+      } else {
+        query.of_type(kTypes[q % 2]).between(from, from + kWindow);
+        tally = &out.type_window;
+      }
+      const auto before = fs.stats();
+      const auto start = std::chrono::steady_clock::now();
+      const std::size_t matched = fs.count(query);
+      tally->latency_us.push_back(
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count() * 1e6);
+      const auto examined = fs.stats().rows_examined - before.rows_examined;
+      tally->examined += examined;
+      tally->matched += matched;
+      if (kind < 2 && examined > posting) ++tally->posting_overruns;
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -242,7 +350,27 @@ int main(int argc, char** argv) {
   std::printf("  parallel queries  %zu threads: %.0f/s (%.2fx serial, parity ok)\n",
               pool_threads, 2000 / parallel_qwall, speedup);
 
-  std::printf("  ingest mem        %.2fM events/s\n", best_mem / 1e6);
+  // Phase 6: the query mix over sealed segments plus a live memtable.
+  const LiveTail live = live_tail_phase();
+  std::printf("\n  live tail         %zu segments + %zu memtable rows\n", live.segments,
+              live.memtable_rows);
+  const std::pair<const char*, const KindTally*> kinds[] = {
+      {"flow", &live.flow}, {"switch+window", &live.switch_window},
+      {"type+window", &live.type_window}};
+  for (const auto& [name, tally] : kinds) {
+    std::printf("    %-14s %4zu queries, %7.2f us p50, %7.2f rows examined per match\n", name,
+                tally->latency_us.size(), tally->p50_us(), tally->examined_per_match());
+  }
+  if (live.flow.posting_overruns + live.switch_window.posting_overruns > 0) {
+    std::fprintf(stderr,
+                 "FAIL: %llu flow and %llu switch queries examined more rows than their "
+                 "postings hold\n",
+                 static_cast<unsigned long long>(live.flow.posting_overruns),
+                 static_cast<unsigned long long>(live.switch_window.posting_overruns));
+    return 1;
+  }
+
+  std::printf("\n  ingest mem        %.2fM events/s\n", best_mem / 1e6);
   std::printf("  ingest wal        %.2fM events/s (inline add, generator on the clock)\n",
               best_dur / 1e6);
   std::printf("  ingest gc         %.2fM events/s (group commit, watermark acks, "
@@ -267,6 +395,20 @@ int main(int argc, char** argv) {
     reg.gauge("bench_store", "query_parallel_speedup_pct")
         .update_max(static_cast<std::int64_t>(speedup * 100));
     reg.gauge("bench_store", "query_parity").update_max(1);
+    reg.gauge("bench_store", "live_memtable_rows")
+        .update_max(static_cast<std::int64_t>(live.memtable_rows));
+    reg.gauge("bench_store", "live_flow_examined_per_match_milli")
+        .update_max(static_cast<std::int64_t>(live.flow.examined_per_match() * 1000));
+    reg.gauge("bench_store", "live_switch_examined_per_match_milli")
+        .update_max(static_cast<std::int64_t>(live.switch_window.examined_per_match() * 1000));
+    reg.gauge("bench_store", "live_type_examined_per_match_milli")
+        .update_max(static_cast<std::int64_t>(live.type_window.examined_per_match() * 1000));
+    reg.gauge("bench_store", "live_flow_query_p50_ns")
+        .update_max(static_cast<std::int64_t>(live.flow.p50_us() * 1000));
+    reg.gauge("bench_store", "live_switch_query_p50_ns")
+        .update_max(static_cast<std::int64_t>(live.switch_window.p50_us() * 1000));
+    reg.gauge("bench_store", "live_type_query_p50_ns")
+        .update_max(static_cast<std::int64_t>(live.type_window.p50_us() * 1000));
   }
 
   if (!baseline_path.empty()) {

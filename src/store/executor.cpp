@@ -41,8 +41,13 @@ void QueryPool::run(std::size_t tasks, const std::function<void(std::size_t)>& f
     fn(t);
     done_tasks_.fetch_add(1, std::memory_order_release);
   }
+  // Wait for the workers too, not just the tasks: a worker that ran
+  // the last task still makes one more claim on next_task_, and that
+  // claim must not land in the next run's counter.
   util::CondMutexLock lock(mu_);
-  while (done_tasks_.load(std::memory_order_acquire) < tasks) done_cv_.wait(lock);
+  while (done_tasks_.load(std::memory_order_acquire) < tasks || active_workers_ > 0) {
+    done_cv_.wait(lock);
+  }
   job_fn_ = nullptr;
 }
 
@@ -58,16 +63,18 @@ void QueryPool::worker() {
       seen = job_gen_;
       fn = job_fn_;
       tasks = job_tasks_;
+      // A worker that wakes after run() already finished this generation
+      // sees the cleared job and just re-arms for the next one.
+      if (fn == nullptr) continue;
+      ++active_workers_;
     }
-    // A worker that wakes after run() already finished this generation
-    // sees the cleared job and just re-arms for the next one.
-    if (fn == nullptr) continue;
     std::size_t t = 0;
     while ((t = next_task_.fetch_add(1, std::memory_order_relaxed)) < tasks) {
       (*fn)(t);
       done_tasks_.fetch_add(1, std::memory_order_release);
     }
     util::CondMutexLock lock(mu_);
+    --active_workers_;
     done_cv_.notify_all();
   }
 }

@@ -46,6 +46,9 @@ class QueryPool {
   std::uint64_t job_gen_ NETSEER_GUARDED_BY(mu_) = 0;
   const std::function<void(std::size_t)>* job_fn_ NETSEER_GUARDED_BY(mu_) = nullptr;
   std::size_t job_tasks_ NETSEER_GUARDED_BY(mu_) = 0;
+  /// Workers inside the current run's claim loop; run() returns only
+  /// once this is back to zero.
+  std::size_t active_workers_ NETSEER_GUARDED_BY(mu_) = 0;
 
   std::atomic<std::size_t> next_task_{0};
   std::atomic<std::size_t> done_tasks_{0};

@@ -48,35 +48,71 @@ std::vector<SegmentFileRef> list_segment_files(const std::string& dir) {
   return files;
 }
 
-Segment Segment::build(std::vector<Row> rows, std::uint32_t file_id) {
+void RowIndex::summarize(std::span<const Row> rows) {
+  if (summarized_ == 0 && !rows.empty()) {
+    min_time_ = rows.front().stored.event.detected_at;
+    max_time_ = min_time_;
+  }
+  for (std::size_t i = summarized_; i < rows.size(); ++i) {
+    const auto& event = rows[i].stored.event;
+    min_time_ = std::min(min_time_, event.detected_at);
+    max_time_ = std::max(max_time_, event.detected_at);
+    const auto raw = static_cast<std::size_t>(event.type);
+    if (raw < type_counts_.size()) ++type_counts_[raw];
+  }
+  summarized_ = rows.size();
+}
+
+void RowIndex::post(std::span<const Row> rows) {
+  summarize(rows);
+  for (std::size_t i = posted_; i < rows.size(); ++i) {
+    const auto& event = rows[i].stored.event;
+    const auto row = static_cast<std::uint32_t>(i);
+    by_flow_[event.flow.hash64()].push_back(row);
+    by_switch_[event.switch_id].push_back(row);
+    const auto raw = static_cast<std::size_t>(event.type);
+    if (raw < by_type_.size()) by_type_[raw].push_back(row);
+  }
+  posted_ = rows.size();
+}
+
+Segment Segment::build(std::vector<Row> rows, std::uint32_t file_id, RowIndex index) {
   Segment seg;
   seg.rows_ = std::move(rows);
   seg.file_id_ = file_id;
   seg.min_lsn_ = seg.rows_.front().lsn;
   seg.max_lsn_ = seg.rows_.back().lsn;
-  seg.min_time_ = seg.rows_.front().stored.event.detected_at;
-  seg.max_time_ = seg.min_time_;
-  // Fences and type counts stay eager (one cheap pass, needed for
-  // pruning); the flow/switch maps build lazily on first index lookup
-  // so sealing costs no hashing on the ingest path.
-  for (std::uint32_t i = 0; i < seg.rows_.size(); ++i) {
-    const auto& event = seg.rows_[i].stored.event;
-    seg.min_time_ = std::min(seg.min_time_, event.detected_at);
-    seg.max_time_ = std::max(seg.max_time_, event.detected_at);
-    const auto raw = static_cast<std::size_t>(event.type);
-    if (raw < seg.type_counts_.size()) ++seg.type_counts_[raw];
-  }
+  // The summary stays eager (one cheap pass over the rows the handed-in
+  // index has not seen, needed for pruning); postings wait for the
+  // first lookup so sealing costs no hashing on the ingest path.
+  seg.index_ = std::move(index);
+  seg.index_.summarize(seg.rows_);
   return seg;
 }
 
-void Segment::ensure_indexed() const {
-  if (indexed_) return;
-  for (std::uint32_t i = 0; i < rows_.size(); ++i) {
-    const auto& event = rows_[i].stored.event;
-    by_flow_[event.flow.hash64()].push_back(i);
-    by_switch_[event.switch_id].push_back(i);
+std::span<const std::uint32_t> Segment::time_range(std::optional<util::SimTime> from,
+                                                   std::optional<util::SimTime> to) const {
+  if (time_order_.size() != rows_.size()) {
+    // Sorting (time, row) pairs keeps ties in row (= LSN) order; rows
+    // that arrived in detection order need no sort at all.
+    std::vector<std::pair<util::SimTime, std::uint32_t>> order(rows_.size());
+    for (std::uint32_t i = 0; i < rows_.size(); ++i) {
+      order[i] = {rows_[i].stored.event.detected_at, i};
+    }
+    if (!std::is_sorted(order.begin(), order.end())) std::sort(order.begin(), order.end());
+    time_keys_.resize(order.size());
+    time_order_.resize(order.size());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      time_keys_[i] = order[i].first;
+      time_order_[i] = order[i].second;
+    }
   }
-  indexed_ = true;
+  const auto first = from ? std::lower_bound(time_keys_.begin(), time_keys_.end(), *from)
+                          : time_keys_.begin();
+  const auto last = to ? std::lower_bound(first, time_keys_.end(), *to) : time_keys_.end();
+  if (first >= last) return {};
+  return {time_order_.data() + (first - time_keys_.begin()),
+          static_cast<std::size_t>(last - first)};
 }
 
 bool Segment::save(const std::string& path) const {
@@ -91,8 +127,8 @@ bool Segment::save(const std::string& path) const {
   put_le<std::uint64_t>(header.data() + 8, rows_.size());
   put_le<std::uint64_t>(header.data() + 16, min_lsn_);
   put_le<std::uint64_t>(header.data() + 24, max_lsn_);
-  put_le<std::int64_t>(header.data() + 32, min_time_);
-  put_le<std::int64_t>(header.data() + 40, max_time_);
+  put_le<std::int64_t>(header.data() + 32, min_time());
+  put_le<std::int64_t>(header.data() + 40, max_time());
 
   std::uint32_t crc = util::crc32_update(0, header);
   bool ok = std::fwrite(header.data(), 1, header.size(), f) == header.size();

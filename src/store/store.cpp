@@ -1,6 +1,7 @@
 #include "store/store.h"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
@@ -23,87 +24,53 @@ QueryCursor::QueryCursor(const FlowEventStore& event_store, const backend::Event
   StoreStats& stats = store_->stats_;
   ++stats.queries;
 
-  for (const auto& segment : store_->segments_) {
-    if (!segment->overlaps(query_.from, query_.to)) {
-      ++stats.segments_pruned;
-      continue;
-    }
-    if (query_.type && segment->type_count(*query_.type) == 0) {
-      ++stats.segments_pruned;
-      continue;
-    }
-    SegmentPlan plan;
-    plan.segment = segment.get();
-    if (query_.flow) {
-      plan.candidates = segment->flow_rows(query_.flow->hash64());
-      if (plan.candidates == nullptr) {
-        ++stats.segments_pruned;
-        continue;
-      }
-      ++stats.index_hits;
-    } else if (query_.switch_id) {
-      plan.candidates = segment->switch_rows(*query_.switch_id);
-      if (plan.candidates == nullptr) {
-        ++stats.segments_pruned;
-        continue;
-      }
-      ++stats.index_hits;
-    } else {
-      ++stats.full_segment_scans;
-    }
-    ++stats.segments_scanned;
-    segments_.push_back(plan);
+  if (query_.from && query_.to && *query_.from >= *query_.to) {
+    stats.segments_pruned += store_->segments_.size();
+    return;  // an empty window: nothing can match
   }
+  for (const auto& segment : store_->segments_) {
+    if (plan_run(segment->rows(), segment.get())) {
+      ++stats.segments_scanned;
+    } else {
+      ++stats.segments_pruned;
+    }
+  }
+  if (!store_->memtable_.empty()) (void)plan_run(store_->memtable_, nullptr);
 
-  // Scatter-gather: with a pool and more than one surviving segment,
-  // pre-filter every segment's rows in parallel. Gather order is the
-  // plan (= LSN) order, so parallel and serial cursors emit
-  // identically; per-task stat tallies merge after the barrier because
-  // StoreStats is not atomic.
-  if (store_->pool_ != nullptr && segments_.size() > 1) {
+  // Scatter-gather: with a pool and more than one planned run,
+  // pre-filter every run's rows in parallel. Gather order is the plan
+  // (= LSN) order, so parallel and serial cursors emit identically;
+  // per-task stat tallies merge after the barrier because StoreStats
+  // is not atomic.
+  if (store_->pool_ != nullptr && plans_.size() > 1) {
     parallel_ = true;
-    matches_.resize(segments_.size());
+    matches_.resize(plans_.size());
     struct Tally {
       std::uint64_t examined = 0;
       std::uint64_t matched = 0;
     };
-    std::vector<Tally> tallies(segments_.size());
-    store_->pool_->run(segments_.size(), [&](std::size_t i) {
-      const SegmentPlan& plan = segments_[i];
-      const auto& rows = plan.segment->rows();
+    std::vector<Tally> tallies(plans_.size());
+    store_->pool_->run(plans_.size(), [&](std::size_t i) {
+      const RunPlan& plan = plans_[i];
       std::vector<std::uint32_t>& out = matches_[i];
-      Tally& tally = tallies[i];
-      if (plan.candidates != nullptr) {
-        for (const std::uint32_t row : *plan.candidates) {
-          ++tally.examined;
-          if (query_.matches(rows[row].stored)) {
-            out.push_back(row);
-            ++tally.matched;
-          }
-        }
-      } else {
-        for (std::uint32_t row = 0; row < rows.size(); ++row) {
-          ++tally.examined;
-          if (query_.matches(rows[row].stored)) {
-            out.push_back(row);
-            ++tally.matched;
-          }
-        }
+      for (std::size_t k = 0; k < plan.size; ++k) {
+        const auto row = plan.candidates != nullptr ? plan.candidates[k]
+                                                    : static_cast<std::uint32_t>(k);
+        if (query_.matches(plan.rows[row].stored)) out.push_back(row);
       }
+      tallies[i] = Tally{plan.size, out.size()};
     });
     for (const Tally& tally : tallies) {
       stats.rows_examined += tally.examined;
       stats.rows_matched += tally.matched;
     }
     ++stats.parallel_queries;
-    stats.parallel_tasks += segments_.size();
+    stats.parallel_tasks += plans_.size();
   }
 
-  // Rows not yet sealed: the memtable (already in LSN order), then the
-  // shard buffers in global append order. Shard iteration order is a
-  // hash-map artifact, so sort by the append sequence for determinism.
-  tail_.reserve(store_->memtable_.size());
-  for (const Row& row : store_->memtable_) tail_.push_back(&row.stored);
+  // Rows still in shard buffers, in global append order. Shard
+  // iteration order is a hash-map artifact, so sort by the append
+  // sequence for determinism.
   std::vector<std::pair<std::uint64_t, const backend::StoredEvent*>> pending_rows;
   for (const auto& [node, shard] : store_->shards_) {
     (void)node;
@@ -113,10 +80,68 @@ QueryCursor::QueryCursor(const FlowEventStore& event_store, const backend::Event
   }
   std::sort(pending_rows.begin(), pending_rows.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
+  tail_.reserve(pending_rows.size());
   for (const auto& [order, stored] : pending_rows) {
     (void)order;
     tail_.push_back(stored);
   }
+}
+
+bool QueryCursor::plan_run(const std::vector<Row>& rows, const Segment* segment) {
+  StoreStats& stats = store_->stats_;
+  RowIndex& memtable_index = store_->memtable_index_;
+  if (segment == nullptr) memtable_index.summarize(rows);
+  const RowIndex& summary = segment != nullptr ? segment->summary() : memtable_index;
+  if (!summary.overlaps(query_.from, query_.to)) return false;
+  if (query_.type && summary.type_count(*query_.type) == 0) return false;
+  const auto postings = [&]() -> const RowIndex& {
+    if (segment != nullptr) return segment->index();
+    memtable_index.post(rows);
+    return memtable_index;
+  };
+
+  const RowIndex::Posting* posting = nullptr;
+  if (query_.flow) {
+    posting = postings().flow_rows(query_.flow->hash64());
+    if (posting == nullptr) return false;
+  } else if (query_.switch_id) {
+    posting = postings().switch_rows(*query_.switch_id);
+    if (posting == nullptr) return false;
+  } else {
+    const bool window_cuts = (query_.from && summary.min_time() < *query_.from) ||
+                             (query_.to && summary.max_time() >= *query_.to);
+    if (segment != nullptr && window_cuts) {
+      const auto range = segment->time_range(query_.from, query_.to);
+      if (range.empty()) return false;
+      // Past half the segment, filtering every row in order is as cheap.
+      if (range.size() * 2 < rows.size()) {
+        // Back into LSN order through a bitmap over the segment's rows:
+        // O(range + rows / 64), no comparison sort.
+        marks_.assign((rows.size() + 63) / 64, 0);
+        for (const std::uint32_t row : range) marks_[row / 64] |= std::uint64_t{1} << (row % 64);
+        auto& selected = selected_.emplace_back();
+        selected.reserve(range.size());
+        for (std::size_t word = 0; word < marks_.size(); ++word) {
+          for (std::uint64_t bits = marks_[word]; bits != 0; bits &= bits - 1) {
+            selected.push_back(static_cast<std::uint32_t>(word * 64 + std::countr_zero(bits)));
+          }
+        }
+        plans_.push_back(RunPlan{rows.data(), selected.data(), selected.size()});
+        ++stats.time_index_hits;
+        return true;
+      }
+    }
+    if (query_.type) posting = postings().type_rows(*query_.type);
+  }
+
+  if (posting != nullptr) {
+    plans_.push_back(RunPlan{rows.data(), posting->data(), posting->size()});
+    ++(segment != nullptr ? stats.index_hits : stats.memtable_index_hits);
+  } else {
+    plans_.push_back(RunPlan{rows.data(), nullptr, rows.size()});
+    if (segment != nullptr) ++stats.full_segment_scans;
+  }
+  return true;
 }
 
 void QueryCursor::check_generation() const {
@@ -132,39 +157,27 @@ void QueryCursor::check_generation() const {
 const backend::StoredEvent* QueryCursor::next() {
   check_generation();
   StoreStats& stats = store_->stats_;
-  while (!in_tail_) {
-    if (segment_idx_ >= segments_.size()) {
-      in_tail_ = true;
-      break;
-    }
-    const SegmentPlan& plan = segments_[segment_idx_];
+  while (plan_idx_ < plans_.size()) {
+    const RunPlan& plan = plans_[plan_idx_];
     if (parallel_) {
       // Rows were pre-filtered (and counted) at construction: walk the
       // match lists straight through, in plan order.
-      const std::vector<std::uint32_t>& matches = matches_[segment_idx_];
-      if (row_idx_ >= matches.size()) {
-        ++segment_idx_;
-        row_idx_ = 0;
-        continue;
+      const std::vector<std::uint32_t>& matches = matches_[plan_idx_];
+      if (row_idx_ < matches.size()) return &plan.rows[matches[row_idx_++]].stored;
+    } else {
+      while (row_idx_ < plan.size) {
+        const std::size_t row = plan.candidates != nullptr ? plan.candidates[row_idx_] : row_idx_;
+        ++row_idx_;
+        ++stats.rows_examined;
+        const backend::StoredEvent& stored = plan.rows[row].stored;
+        if (query_.matches(stored)) {
+          ++stats.rows_matched;
+          return &stored;
+        }
       }
-      return &plan.segment->rows()[matches[row_idx_++]].stored;
     }
-    const std::size_t limit =
-        plan.candidates != nullptr ? plan.candidates->size() : plan.segment->rows().size();
-    if (row_idx_ >= limit) {
-      ++segment_idx_;
-      row_idx_ = 0;
-      continue;
-    }
-    const std::size_t row =
-        plan.candidates != nullptr ? (*plan.candidates)[row_idx_] : row_idx_;
-    ++row_idx_;
-    ++stats.rows_examined;
-    const backend::StoredEvent& stored = plan.segment->rows()[row].stored;
-    if (query_.matches(stored)) {
-      ++stats.rows_matched;
-      return &stored;
-    }
+    ++plan_idx_;
+    row_idx_ = 0;
   }
   while (tail_idx_ < tail_.size()) {
     const backend::StoredEvent* stored = tail_[tail_idx_++];
@@ -293,8 +306,12 @@ void FlowEventStore::seal_active() {
   if (memtable_.empty()) return;
   ++generation_;
   util::MutexLock lock(maint_mu_);
-  auto segment = std::make_unique<Segment>(Segment::build(std::move(memtable_)));
+  // The memtable's index moves with its rows: a segment sealed after a
+  // query never rebuilds what that query indexed.
+  auto segment = std::make_unique<Segment>(
+      Segment::build(std::move(memtable_), 0, std::move(memtable_index_)));
   memtable_.clear();
+  memtable_index_ = RowIndex{};
   // Segment-file creation is deferred to persist_segments_locked()
   // (maintenance/checkpoint), keeping the seal on the ingest path a
   // pure in-memory operation; the WAL covers the rows until then.
@@ -687,7 +704,11 @@ std::optional<backend::EventQuery> parse_query(const std::string& spec, std::str
       query.type = *type;
     } else if (key == "switch") {
       std::int64_t node = 0;
-      if (!parse_int(value, node) || node < 0) return fail("bad switch id");
+      // kInvalidNode is the top of the NodeId range, so this also
+      // rejects ids that would wrap when narrowed.
+      if (!parse_int(value, node) || node < 0 || node >= std::int64_t{util::kInvalidNode}) {
+        return fail("bad switch id");
+      }
       query.switch_id = static_cast<util::NodeId>(node);
     } else if (key == "from") {
       std::int64_t t = 0;

@@ -95,7 +95,9 @@ struct StoreStats {
   std::uint64_t queries = 0;
   std::uint64_t segments_scanned = 0;
   std::uint64_t segments_pruned = 0;
-  std::uint64_t index_hits = 0;
+  std::uint64_t index_hits = 0;            // segments read through a posting
+  std::uint64_t memtable_index_hits = 0;   // memtable plans read through a posting
+  std::uint64_t time_index_hits = 0;       // segments read through the time order
   std::uint64_t full_segment_scans = 0;
   std::uint64_t rows_examined = 0;
   std::uint64_t rows_matched = 0;
@@ -129,11 +131,24 @@ class FlowEventStore;
 
 /// Streaming view over one query's matches, in the store's total order
 /// (LSN order for flushed rows, then append order for rows still in
-/// shard buffers). The plan — which segments were pruned by time fence
-/// or type count, which use an index — is fixed at construction; rows
-/// are filtered lazily as next() advances (or eagerly, in parallel,
-/// when the store has a query pool — the merge is by segment LSN order
-/// either way, so both paths emit identically).
+/// shard buffers). The plan is fixed at construction and treats every
+/// sealed segment and the memtable alike: a run is pruned by its time
+/// fence, its per-type count or a missing posting, or planned as one of
+///
+///   - a flow posting, else a switch posting (never the time order then);
+///   - the rows inside [from, to) from a segment's detection-time order,
+///     re-sorted into LSN order, when the window cuts into the segment
+///     and selects less than half of it (the memtable has no time order);
+///   - a type posting;
+///   - every row.
+///
+/// Planning extends the memtable's index over rows appended since the
+/// last query, and builds a segment's postings or time order on first
+/// use. Rows are filtered lazily as next() advances (or eagerly, in
+/// parallel, when the store has a query pool — the merge is by plan
+/// order either way, so both paths emit identically). Rows still in
+/// shard buffers are copied into the cursor and filtered last. An empty
+/// window (from >= to) plans nothing.
 ///
 /// A cursor is valid only until the store is mutated (append, flush,
 /// seal, compaction, retention): it snapshots the store's generation
@@ -178,12 +193,18 @@ class QueryCursor {
 
  private:
   friend class FlowEventStore;
-  struct SegmentPlan {
-    const Segment* segment = nullptr;
-    const std::vector<std::uint32_t>* candidates = nullptr;  // null = scan all rows
+  /// The rows of one run (a segment or the memtable) to examine.
+  struct RunPlan {
+    const Row* rows = nullptr;
+    const std::uint32_t* candidates = nullptr;  // row indexes; null = rows [0, size)
+    std::size_t size = 0;
   };
 
   QueryCursor(const FlowEventStore& store, const backend::EventQuery& query);
+
+  /// Plan one run: `segment`, or the memtable when it is null. False
+  /// when the run is pruned.
+  bool plan_run(const std::vector<Row>& rows, const Segment* segment);
 
   /// Abort (with a diagnostic) if the store mutated under this cursor.
   void check_generation() const;
@@ -191,24 +212,27 @@ class QueryCursor {
   const FlowEventStore* store_ = nullptr;
   backend::EventQuery query_;
   std::uint64_t generation_ = 0;
-  std::vector<SegmentPlan> segments_;
+  std::vector<RunPlan> plans_;
+  // Time-order candidates, re-sorted into LSN order; plans point into
+  // them (a moved vector keeps its buffer).
+  std::vector<std::vector<std::uint32_t>> selected_;
+  std::vector<std::uint64_t> marks_;  // plan_run's scratch bitmap
   // Parallel path: per-plan pre-filtered row indexes (scatter output).
   bool parallel_ = false;
   std::vector<std::vector<std::uint32_t>> matches_;
-  // Memtable rows then pending shard rows, in emission order.
+  // Rows still in shard buffers, in global append order.
   std::vector<const backend::StoredEvent*> tail_;
-  std::size_t segment_idx_ = 0;
+  std::size_t plan_idx_ = 0;
   std::size_t row_idx_ = 0;
   std::size_t tail_idx_ = 0;
-  bool in_tail_ = false;
 };
 
 /// The durable, sharded flow-event store behind the backend collector:
 /// per-switch batch buffers feed a CRC-framed write-ahead log, rows
 /// accumulate in a memtable that seals into immutable time-partitioned
-/// segments with per-segment indexes, background maintenance compacts
-/// and applies retention, and queries intersect segment indexes instead
-/// of scanning. Drop-in query-compatible with backend::EventStore.
+/// segments, background maintenance compacts and applies retention, and
+/// queries read the segments' and the memtable's indexes instead of
+/// scanning. Drop-in query-compatible with backend::EventStore.
 class FlowEventStore final : public backend::EventSink {
  public:
   NETSEER_BLOCKING explicit FlowEventStore(StoreOptions options = {});
@@ -361,6 +385,9 @@ class FlowEventStore final : public backend::EventSink {
   std::uint64_t legacy_wal_deleted_ = 0;  // checkpoint-deleted legacy files
 
   std::vector<Row> memtable_;
+  /// Extended by the query planner (under const, serially) and moved
+  /// into the segment the memtable seals into.
+  mutable RowIndex memtable_index_;
   std::vector<std::unique_ptr<Segment>> segments_;  // oldest first (LSN order)
 
   /// Serializes the maintenance paths (seal/compact/retention/WAL-GC)

@@ -205,6 +205,8 @@ void collect(Registry& registry, const store::FlowEventStore& flow_store) {
   registry.counter(kStore, "query.segments_scanned").add(s.segments_scanned);
   registry.counter(kStore, "query.segments_pruned").add(s.segments_pruned);
   registry.counter(kStore, "query.index_hits").add(s.index_hits);
+  registry.counter(kStore, "query.memtable_index_hits").add(s.memtable_index_hits);
+  registry.counter(kStore, "query.time_index_hits").add(s.time_index_hits);
   registry.counter(kStore, "query.full_segment_scans").add(s.full_segment_scans);
   registry.counter(kStore, "query.rows_examined").add(s.rows_examined);
   registry.counter(kStore, "query.rows_matched").add(s.rows_matched);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <vector>
 
@@ -193,6 +194,30 @@ TEST(QueryPoolTest, ReusableAcrossManyRuns) {
     pool.run(8, [&](std::size_t) { total.fetch_add(1); });
   }
   EXPECT_EQ(total.load(), 400u);
+}
+
+TEST(QueryPoolTest, BackToBackRunsNeverLeakAClaimIntoTheNextRun) {
+  // A worker that has finished its last task of one run still makes a
+  // final claim on the shared counter. That claim must not land in the
+  // next run (where it would steal a task it then runs with the old
+  // function, or drop it and hang run()). Task counts alternate so a
+  // stale claim would fall inside the next run's range.
+  QueryPool pool(4);
+  for (int round = 0; round < 5000; ++round) {
+    const std::size_t tasks = 2 + static_cast<std::size_t>(round % 3);
+    std::vector<std::atomic<int>> hits(tasks);
+    for (auto& h : hits) h.store(0);
+    pool.run(tasks, [&](std::size_t task) {
+      // Long enough that parked workers wake and join the run.
+      const auto until = std::chrono::steady_clock::now() + std::chrono::microseconds(20);
+      while (std::chrono::steady_clock::now() < until) {
+      }
+      hits[task].fetch_add(1);
+    });
+    for (std::size_t i = 0; i < tasks; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "round " << round << ", task " << i;
+    }
+  }
 }
 
 }  // namespace

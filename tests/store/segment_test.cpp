@@ -4,7 +4,10 @@
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "core/event.h"
 
@@ -48,27 +51,70 @@ TEST_F(SegmentTest, BuildComputesFencesAndIndexes) {
   EXPECT_EQ(segment.max_lsn(), 13u);
   EXPECT_EQ(segment.min_time(), 1000);
   EXPECT_EQ(segment.max_time(), 1300);
-  EXPECT_EQ(segment.type_count(core::EventType::kDrop), 3u);
-  EXPECT_EQ(segment.type_count(core::EventType::kCongestion), 1u);
-  EXPECT_EQ(segment.type_count(core::EventType::kPause), 0u);
+  EXPECT_EQ(segment.summary().type_count(core::EventType::kDrop), 3u);
+  EXPECT_EQ(segment.summary().type_count(core::EventType::kCongestion), 1u);
+  EXPECT_EQ(segment.summary().type_count(core::EventType::kPause), 0u);
 
-  const auto* same_flow = segment.flow_rows(row(0, 1, 1000).stored.event.flow.hash64());
+  const auto& index = segment.index();
+  const auto* same_flow = index.flow_rows(row(0, 1, 1000).stored.event.flow.hash64());
   ASSERT_NE(same_flow, nullptr);
-  EXPECT_EQ(same_flow->size(), 2u);
-  const auto* node1 = segment.switch_rows(1);
+  EXPECT_EQ(*same_flow, (RowIndex::Posting{0, 2}));
+  const auto* node1 = index.switch_rows(1);
   ASSERT_NE(node1, nullptr);
   EXPECT_EQ(node1->size(), 2u);
-  EXPECT_EQ(segment.switch_rows(99), nullptr);
+  EXPECT_EQ(index.switch_rows(99), nullptr);
+  const auto* congestion = index.type_rows(core::EventType::kCongestion);
+  ASSERT_NE(congestion, nullptr);
+  EXPECT_EQ(*congestion, (RowIndex::Posting{3}));
+  EXPECT_EQ(index.type_rows(core::EventType::kPause), nullptr);
+}
+
+TEST_F(SegmentTest, SealTakesOverAPartialIndexAndExtendsIt) {
+  // The memtable's index covers the rows of its last query; the segment
+  // completes the summary at build and the postings on first lookup.
+  std::vector<Row> rows{row(1, 1, 1000), row(2, 2, 1001), row(3, 1, 1000),
+                        row(4, 2, 1002, core::EventType::kPause)};
+  RowIndex partial;
+  partial.post(std::span<const Row>(rows.data(), 2));
+  const auto segment = Segment::build(std::move(rows), 0, std::move(partial));
+  EXPECT_EQ(segment.summary().summarized(), 4u);
+  EXPECT_EQ(segment.summary().posted(), 2u);
+  EXPECT_EQ(segment.summary().type_count(core::EventType::kPause), 1u);
+  EXPECT_EQ(segment.max_time(), 400);
+  EXPECT_EQ(segment.index().posted(), 4u);
+  EXPECT_EQ(*segment.index().switch_rows(1), (RowIndex::Posting{0, 2}));
+  EXPECT_EQ(*segment.index().switch_rows(2), (RowIndex::Posting{1, 3}));
+  EXPECT_EQ(*segment.index().type_rows(core::EventType::kPause), (RowIndex::Posting{3}));
+}
+
+TEST_F(SegmentTest, TimeRangeSelectsTheWindowInTimeOrder) {
+  // detected_at out of LSN order, with a tie: 500 300 700 300 100.
+  std::vector<Row> rows;
+  for (const util::SimTime at : {500, 300, 700, 300, 100}) {
+    rows.push_back(row(rows.size() + 1, 1, 1000));
+    rows.back().stored.event.detected_at = at;
+  }
+  const auto segment = Segment::build(std::move(rows));
+  const auto range = [&](std::optional<util::SimTime> from, std::optional<util::SimTime> to) {
+    const auto span = segment.time_range(from, to);
+    return std::vector<std::uint32_t>(span.begin(), span.end());
+  };
+  EXPECT_EQ(range(300, 700), (std::vector<std::uint32_t>{1, 3, 0}));
+  EXPECT_EQ(range(std::nullopt, 301), (std::vector<std::uint32_t>{4, 1, 3}));
+  EXPECT_EQ(range(600, std::nullopt), (std::vector<std::uint32_t>{2}));
+  EXPECT_TRUE(range(301, 500).empty());
+  EXPECT_TRUE(range(700, 300).empty());
+  EXPECT_EQ(range(std::nullopt, std::nullopt).size(), 5u);
 }
 
 TEST_F(SegmentTest, OverlapUsesFences) {
   const auto segment = Segment::build({row(1, 1, 1000), row(2, 1, 1001)});  // times 100..200
-  EXPECT_TRUE(segment.overlaps(std::nullopt, std::nullopt));
-  EXPECT_TRUE(segment.overlaps(100, 101));
-  EXPECT_TRUE(segment.overlaps(200, std::nullopt));
-  EXPECT_FALSE(segment.overlaps(201, std::nullopt));  // starts past max_time
-  EXPECT_FALSE(segment.overlaps(std::nullopt, 100));  // to exclusive
-  EXPECT_TRUE(segment.overlaps(std::nullopt, 101));
+  EXPECT_TRUE(segment.summary().overlaps(std::nullopt, std::nullopt));
+  EXPECT_TRUE(segment.summary().overlaps(100, 101));
+  EXPECT_TRUE(segment.summary().overlaps(200, std::nullopt));
+  EXPECT_FALSE(segment.summary().overlaps(201, std::nullopt));  // starts past max_time
+  EXPECT_FALSE(segment.summary().overlaps(std::nullopt, 100));  // to exclusive
+  EXPECT_TRUE(segment.summary().overlaps(std::nullopt, 101));
 }
 
 TEST_F(SegmentTest, SaveLoadRoundTrip) {
@@ -93,7 +139,7 @@ TEST_F(SegmentTest, SaveLoadRoundTrip) {
     EXPECT_EQ(loaded->rows()[i].stored.stored_at, segment.rows()[i].stored.stored_at);
   }
   // Indexes are rebuilt on load.
-  EXPECT_NE(loaded->switch_rows(1), nullptr);
+  EXPECT_NE(loaded->index().switch_rows(1), nullptr);
 }
 
 TEST_F(SegmentTest, LoadRejectsFlippedByte) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/event.h"
@@ -349,6 +350,74 @@ TEST_F(StoreTest, ParseQueryAcceptsFullSpecAndRejectsGarbage) {
   EXPECT_FALSE(parse_query("type=banana", &error).has_value());
   EXPECT_FALSE(parse_query("nonsense", &error).has_value());
   EXPECT_FALSE(parse_query("from=abc", &error).has_value());
+}
+
+TEST_F(StoreTest, ParseQueryRejectsSwitchIdsOutsideTheNodeIdRange) {
+  std::string error;
+  const auto top = parse_query("switch=4294967294", &error);
+  ASSERT_TRUE(top.has_value()) << error;
+  EXPECT_EQ(top->switch_id, 4294967294u);
+  // 2^32 + 1 would wrap to switch 1; 2^32 - 1 is kInvalidNode.
+  for (const char* spec : {"switch=4294967297", "switch=4294967296", "switch=4294967295",
+                           "switch=-1", "switch=99999999999999999999"}) {
+    error.clear();
+    EXPECT_FALSE(parse_query(spec, &error).has_value()) << spec;
+    EXPECT_EQ(error, "bad switch id") << spec;
+  }
+}
+
+TEST_F(StoreTest, SealHandsTheMemtableIndexToTheSegment) {
+  StoreOptions options;
+  options.shard_batch = 1;
+  options.segment_events = 1000;
+  FlowEventStore store(options);
+  const auto add = [&](std::uint64_t first, std::uint64_t last) {
+    for (std::uint64_t i = first; i < last; ++i) {
+      store.add(event_at(i, static_cast<util::NodeId>(i % 4)), 0);
+    }
+  };
+  add(0, 40);
+  const auto stats_before = store.stats();
+  EXPECT_EQ(store.count(backend::EventQuery{}.for_switch(2)), 10u);
+  EXPECT_EQ(store.stats().memtable_index_hits - stats_before.memtable_index_hits, 1u);
+  EXPECT_EQ(store.stats().rows_examined - stats_before.rows_examined, 10u);
+  // Rows appended after the query extend the index at the next plan.
+  add(40, 48);
+  EXPECT_EQ(store.count(backend::EventQuery{}.for_switch(2)), 12u);
+  add(48, 50);
+  store.seal_active();
+  ASSERT_EQ(store.segment_count(), 1u);
+  const Segment& segment = *store.segments().front();
+  EXPECT_EQ(segment.size(), 50u);
+  EXPECT_EQ(segment.summary().summarized(), 50u);
+  EXPECT_EQ(segment.summary().posted(), 48u);  // what the last query indexed
+  EXPECT_EQ(store.count(backend::EventQuery{}.for_switch(2)), 12u);
+  EXPECT_EQ(segment.summary().posted(), 50u);
+}
+
+TEST_F(StoreTest, EmptyWindowPlansNothing) {
+  StoreOptions options;
+  options.shard_batch = 8;
+  options.segment_events = 32;
+  FlowEventStore store(options);
+  // Sealed segments, a memtable and shard rows, all around t = 500.
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    const auto ev = event_at(i, static_cast<util::NodeId>(i % 3));
+    store.add(ev, ev.detected_at);
+  }
+  ASSERT_GT(store.segment_count(), 0u);
+  for (const auto& [from, to] : {std::pair<util::SimTime, util::SimTime>{500, 500}, {600, 400}}) {
+    const auto before = store.stats();
+    for (auto query : {backend::EventQuery{}, backend::EventQuery{}.for_switch(1),
+                       backend::EventQuery{}.of_type(core::EventType::kDrop)}) {
+      query.between(from, to);
+      EXPECT_TRUE(store.query(query).empty());
+    }
+    const auto& after = store.stats();
+    EXPECT_EQ(after.rows_examined, before.rows_examined);
+    EXPECT_EQ(after.segments_scanned, before.segments_scanned);
+    EXPECT_EQ(after.segments_pruned - before.segments_pruned, 3 * store.segment_count());
+  }
 }
 
 TEST_F(StoreTest, WalDeathKeepsStoreServingFromMemory) {

@@ -9,6 +9,7 @@
 #include "detect/service.h"
 #include "scenarios/harness.h"
 #include "sim/simulator.h"
+#include "store/store.h"
 #include "telemetry/collect.h"
 #include "telemetry/metrics.h"
 #include "traffic/generator.h"
@@ -162,6 +163,35 @@ TEST(CollectDetectParity, KeyVisitsMatchTheEngines) {
   telemetry::collect(registry, service);
   EXPECT_EQ(registry.total("detect", "keys_visited"), visited);
   EXPECT_EQ(visited, 20u + 20u);
+}
+
+TEST(CollectStoreParity, IndexHitCountersMatchTheStore) {
+  // query.memtable_index_hits counts memtable plans read through a
+  // posting; query.time_index_hits counts segments read through the
+  // detection-time order.
+  store::StoreOptions options;
+  options.shard_batch = 4;
+  options.segment_events = 64;
+  store::FlowEventStore fs{options};
+  for (std::uint16_t i = 0; i < 200; ++i) {
+    packet::FlowKey flow{packet::Ipv4Addr::from_octets(10, 0, 0, 1),
+                         packet::Ipv4Addr::from_octets(10, 0, 0, 2), 6,
+                         static_cast<std::uint16_t>(1000 + i % 16), 80};
+    const auto at = static_cast<util::SimTime>(i) * 10;
+    fs.add(core::make_event(core::EventType::kDrop, flow, i % 4u, at), at);
+  }
+  fs.flush();  // three sealed segments of 64 rows, 8 rows in the memtable
+  const auto flow = fs.all().back().event.flow;
+  EXPECT_FALSE(fs.query(backend::EventQuery{}.for_flow(flow)).empty());
+  EXPECT_FALSE(fs.query(backend::EventQuery{}.for_switch(1)).empty());
+  EXPECT_FALSE(fs.query(backend::EventQuery{}.between(100, 200)).empty());
+
+  telemetry::Registry registry;
+  telemetry::collect(registry, fs);
+  EXPECT_EQ(registry.total("store", "query.memtable_index_hits"), 2u);
+  EXPECT_EQ(registry.total("store", "query.time_index_hits"), 1u);
+  EXPECT_EQ(registry.total("store", "query.memtable_index_hits"), fs.stats().memtable_index_hits);
+  EXPECT_EQ(registry.total("store", "query.time_index_hits"), fs.stats().time_index_hits);
 }
 
 }  // namespace
