@@ -4,12 +4,12 @@
 // copy count against link loss rates and measures how many inter-switch
 // drop events actually reach the backend.
 #include "backend/collector.h"
-#include "backend/event_store.h"
 #include "core/netseer_app.h"
 #include "core/nic_agent.h"
 #include "fabric/network.h"
 #include "experiment.h"
 #include "packet/builder.h"
+#include "store/store.h"
 #include "table.h"
 #include "telemetry/collect.h"
 
@@ -41,7 +41,7 @@ Outcome run(int copies, double loss_both_ways, std::uint64_t seed,
   net.compute_routes();
 
   core::ReportChannel channel(net.simulator(), util::Rng(3), util::milliseconds(1), 0.0);
-  backend::EventStore store;
+  store::FlowEventStore store;
   backend::Collector collector(net.simulator(), 1000, channel, store);
   core::NetSeerConfig config;
   config.interswitch.notify_copies = copies;

@@ -1,8 +1,7 @@
 // Flow-event store microbench: ingest throughput (in-memory, legacy
 // inline-durability, and group-commit durable), the query engine's
-// index/pruning behaviour and scatter-gather parallelism over a sealed
-// store, and the query mix over a live store (sealed segments plus an
-// unsealed memtable).
+// index/pruning behaviour over a sealed store, and the query mix over a
+// live store (sealed segments plus an unsealed memtable).
 //
 //   bench_store --events 2000000 --reps 3
 //   bench_store --events 2000000 --baseline bench/BENCH_store.json
@@ -10,16 +9,13 @@
 // With --baseline the run exits 1 if the best in-memory ingest rate or
 // the best group-commit durable rate lands more than
 // --max-regression-pct below its checked-in value — the CI perf-smoke
-// gate, same contract as bench_engine. The parallel-query phase always
-// asserts result parity with the serial cursor; its speedup gate is
-// hardware-aware (min_speedup_per_core x available cores, skipped on
-// single-core machines), same contract as bench_scalability. The query
-// phase asserts that time-windowed queries actually prune segments (the
-// whole point of the per-segment time fences); zero pruning fails the
-// run. The live-tail phase reports rows examined per match for each
-// query kind and fails when a flow or switch query examines more rows
-// than its postings hold. All gated numbers also land in the
-// --metrics-out snapshot, which is what CI parses.
+// gate, same contract as bench_engine. The query phase asserts that
+// time-windowed queries actually prune segments (the whole point of the
+// per-segment time fences); zero pruning fails the run. The live-tail
+// phase reports rows examined per match for each query kind and fails
+// when a flow or switch query examines more rows than its postings
+// hold. All gated numbers also land in the --metrics-out snapshot,
+// which is what CI parses.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -27,7 +23,6 @@
 #include <filesystem>
 #include <span>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -84,9 +79,9 @@ double ingest_run(store::FlowEventStore& fs, std::uint64_t events) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
-/// The 2000-query time-window workload shared by the serial and
-/// parallel query phases: narrow windows (span/256) over the sealed
-/// store, every second one type-filtered.
+/// The 2000-query time-window workload of the query phase: narrow
+/// windows (span/256) over the sealed store, every second one
+/// type-filtered.
 std::size_t query_sweep(const store::FlowEventStore& fs, util::SimTime span, double* wall_out) {
   EventGen qgen;
   constexpr int kQueries = 2000;
@@ -130,7 +125,7 @@ struct LiveTail {
   KindTally flow, switch_window, type_window;
 };
 
-/// Phase 6: the query mix over a live store — sealed segments whose
+/// Phase 5: the query mix over a live store — sealed segments whose
 /// rows arrive out of detection-time order (every fourth switch reports
 /// 3 ms late) plus an unsealed memtable of about 2 000 rows, the shape
 /// a backend tailing its collectors queries. Kinds: by flow, by switch
@@ -317,11 +312,11 @@ int main(int argc, char** argv) {
   (void)ingest_run(fs, events);
   fs.seal_active();
   const util::SimTime span = static_cast<util::SimTime>(events) * 100;
-  double serial_qwall = 0;
-  const std::size_t serial_matches = query_sweep(fs, span, &serial_qwall);
+  double qwall = 0;
+  const std::size_t matches = query_sweep(fs, span, &qwall);
   const auto& stats = fs.stats();
   std::printf("\n  queries           2000 time-windowed (%.0f/s), %zu matches\n",
-              2000 / serial_qwall, serial_matches);
+              2000 / qwall, matches);
   std::printf("  segments          %zu; scanned %llu, pruned %llu (%.1f%% pruned)\n",
               fs.segment_count(), static_cast<unsigned long long>(stats.segments_scanned),
               static_cast<unsigned long long>(stats.segments_pruned),
@@ -332,25 +327,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Phase 5: the same sweep scatter-gathered over a query pool. Result
-  // parity with the serial cursor is unconditional; the speedup gate is
-  // hardware-aware and skipped below 2 cores.
-  const unsigned hw_threads = std::max(1u, std::thread::hardware_concurrency());
-  const std::size_t pool_threads = std::min<std::size_t>(hw_threads > 1 ? hw_threads : 2, 8);
-  fs.set_query_threads(pool_threads);
-  double parallel_qwall = 0;
-  const std::size_t parallel_matches = query_sweep(fs, span, &parallel_qwall);
-  fs.set_query_threads(1);
-  if (parallel_matches != serial_matches) {
-    std::fprintf(stderr, "FAIL: parallel query matches %zu != serial %zu\n", parallel_matches,
-                 serial_matches);
-    return 1;
-  }
-  const double speedup = serial_qwall / parallel_qwall;
-  std::printf("  parallel queries  %zu threads: %.0f/s (%.2fx serial, parity ok)\n",
-              pool_threads, 2000 / parallel_qwall, speedup);
-
-  // Phase 6: the query mix over sealed segments plus a live memtable.
+  // Phase 5: the query mix over sealed segments plus a live memtable.
   const LiveTail live = live_tail_phase();
   std::printf("\n  live tail         %zu segments + %zu memtable rows\n", live.segments,
               live.memtable_rows);
@@ -389,12 +366,7 @@ int main(int argc, char** argv) {
     reg.gauge("bench_store", "gc_max_group_batches")
         .update_max(static_cast<std::int64_t>(gc_max_group));
     reg.gauge("bench_store", "query_serial_per_sec")
-        .update_max(static_cast<std::int64_t>(2000 / serial_qwall));
-    reg.gauge("bench_store", "query_parallel_per_sec")
-        .update_max(static_cast<std::int64_t>(2000 / parallel_qwall));
-    reg.gauge("bench_store", "query_parallel_speedup_pct")
-        .update_max(static_cast<std::int64_t>(speedup * 100));
-    reg.gauge("bench_store", "query_parity").update_max(1);
+        .update_max(static_cast<std::int64_t>(2000 / qwall));
     reg.gauge("bench_store", "live_memtable_rows")
         .update_max(static_cast<std::int64_t>(live.memtable_rows));
     reg.gauge("bench_store", "live_flow_examined_per_match_milli")
@@ -449,26 +421,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "FAIL: group-commit ingest %.0f events/s below floor %.0f\n",
                    best_gc, gc_floor);
       return 1;
-    }
-    // Hardware-aware parallel-query gate, BENCH_parallel.json-style:
-    // on a single hardware thread a pool cannot beat the serial cursor,
-    // so only parity is enforced there.
-    const double target_speedup = read_json_number(text, "query_target_speedup");
-    const double per_core = read_json_number(text, "query_min_speedup_per_core");
-    if (hw_threads >= 2 && target_speedup > 0 && per_core > 0) {
-      const double need = std::min(
-          target_speedup, per_core * static_cast<double>(std::min<std::size_t>(
-                                         pool_threads, hw_threads)));
-      std::printf("  speedup gate      need %.2fx on %u cores, got %.2fx\n", need, hw_threads,
-                  speedup);
-      if (speedup < need) {
-        std::fprintf(stderr, "FAIL: parallel-query speedup %.2fx below %.2fx\n", speedup,
-                     need);
-        return 1;
-      }
-    } else {
-      std::printf("  speedup gate      skipped (%u hardware thread%s)\n", hw_threads,
-                  hw_threads == 1 ? "" : "s");
     }
     std::printf("  gate              PASS\n");
   }

@@ -33,7 +33,6 @@ struct Args {
   std::uint64_t seed = 7;
   std::string store_dir;
   std::string store_query;
-  std::uint64_t store_query_threads = 1;
   bool store_tail = false;
 };
 
@@ -63,8 +62,6 @@ int main(int argc, char** argv) {
             "persist backend events (WAL + segments) under this directory")
       .flag("store-query", &args.store_query,
             "run a store query after the run, e.g. type=drop,switch=3,from=0,to=5000000")
-      .flag("store-query-threads", &args.store_query_threads,
-            "scatter-gather the --store-query over this many threads")
       .flag("store-tail", &args.store_tail,
             "after the run, stream the stored events back through a subscription")
       .parse(argc, argv);
@@ -232,11 +229,7 @@ int main(int argc, char** argv) {
               100 * scenarios::Harness::coverage(detected, actual), actual.size());
 
   if (store_query) {
-    auto& store = harness.store();
-    if (args.store_query_threads > 1) {
-      store.set_query_threads(static_cast<std::size_t>(
-          std::min<std::uint64_t>(args.store_query_threads, 64)));
-    }
+    const auto& store = harness.store();
     const auto scanned_before = store.stats().segments_scanned;
     const auto pruned_before = store.stats().segments_pruned;
     const auto matches = store.query(*store_query);

@@ -8,11 +8,11 @@
 #include <cstdio>
 
 #include "backend/collector.h"
-#include "backend/event_store.h"
 #include "core/netseer_app.h"
 #include "core/nic_agent.h"
 #include "fabric/network.h"
 #include "packet/builder.h"
+#include "store/store.h"
 
 using namespace netseer;
 
@@ -37,7 +37,7 @@ int main() {
   //    agent per host. That's the whole deployment.
   core::ReportChannel channel(net.simulator(), util::Rng(2), util::milliseconds(1),
                               /*loss=*/0.0);
-  backend::EventStore store;
+  store::FlowEventStore store;
   backend::Collector collector(net.simulator(), /*id=*/1000, channel, store);
   core::NetSeerConfig config;
   core::NetSeerApp app1(s1, config, &channel, collector.id());

@@ -3,15 +3,15 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "backend/event_sink.h"
 #include "core/report.h"
 #include "sim/simulator.h"
+#include "store/store.h"
 
 namespace netseer::backend {
 
 /// Backend endpoint of the reliable report channel: deduplicates
-/// retransmitted segments, stores their events into any EventSink (the
-/// in-memory EventStore or store::FlowEventStore), and acks cumulatively
+/// retransmitted segments, stores their events into a
+/// store::FlowEventStore (in memory or durable), and acks cumulatively
 /// per reporting switch.
 ///
 /// The out-of-order window is bounded: a segment more than
@@ -28,7 +28,7 @@ class Collector {
   static constexpr std::uint32_t kReorderWindow = 1024;
 
   Collector(sim::Simulator& sim, util::NodeId id, core::ReportChannel& channel,
-            EventSink& store)
+            store::FlowEventStore& store)
       : sim_(sim), id_(id), channel_(channel), store_(store) {
     channel_.register_endpoint(id_, [this](util::NodeId from, const core::ReportMsg& msg) {
       on_message(from, msg);
@@ -55,7 +55,7 @@ class Collector {
       ++window_drops_;
     } else {
       peer.seen.insert(msg.seq);
-      // Whole-batch handoff: a durable sink amortizes WAL framing and
+      // Whole-batch handoff: a durable store amortizes WAL framing and
       // group commit across the segment instead of per event.
       store_.add_batch(msg.batch.events, sim_.now());
       events_stored_ += msg.batch.events.size();
@@ -79,7 +79,7 @@ class Collector {
   sim::Simulator& sim_;
   util::NodeId id_;
   core::ReportChannel& channel_;
-  EventSink& store_;
+  store::FlowEventStore& store_;
   std::unordered_map<util::NodeId, PeerState> peers_;
   std::uint64_t segments_ = 0;
   std::uint64_t duplicates_ = 0;

@@ -1,12 +1,7 @@
 #pragma once
 
-#include <cstdint>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
-#include <vector>
 
-#include "backend/event_sink.h"
 #include "core/event.h"
 #include "packet/flow_key.h"
 
@@ -68,76 +63,6 @@ struct EventQuery {
     if (to && ev.detected_at >= *to) return false;
     return true;
   }
-};
-
-/// The reference in-memory storage for flow events, with secondary
-/// indices by flow and by device so the operator queries in §3.2 step 4
-/// stay cheap. Production-shaped storage (durability, segments,
-/// compaction) lives in store::FlowEventStore, which answers the same
-/// EventQuery interface; this store remains the simple oracle the
-/// parity tests compare it against.
-class EventStore : public EventSink {
- public:
-  void add_batch(std::span<const core::FlowEvent> events, util::SimTime now) override {
-    for (const auto& event : events) {
-      const std::size_t idx = events_.size();
-      events_.push_back(StoredEvent{event, now});
-      by_flow_[event.flow.hash64()].push_back(idx);
-      by_switch_[event.switch_id].push_back(idx);
-    }
-  }
-
-  /// Everything applied to the in-memory oracle is as durable as it
-  /// will ever get, so the watermark is simply the applied count.
-  [[nodiscard]] std::uint64_t durable_watermark() const override { return events_.size(); }
-
-  [[nodiscard]] std::vector<StoredEvent> query(const EventQuery& query) const {
-    std::vector<StoredEvent> out;
-    const auto scan = [&](const std::vector<std::size_t>& candidates) {
-      for (const auto idx : candidates) {
-        if (query.matches(events_[idx])) out.push_back(events_[idx]);
-      }
-    };
-    if (query.flow) {
-      const auto it = by_flow_.find(query.flow->hash64());
-      if (it != by_flow_.end()) scan(it->second);
-    } else if (query.switch_id) {
-      const auto it = by_switch_.find(*query.switch_id);
-      if (it != by_switch_.end()) scan(it->second);
-    } else {
-      for (const auto& stored : events_) {
-        if (query.matches(stored)) out.push_back(stored);
-      }
-    }
-    return out;
-  }
-
-  [[nodiscard]] std::size_t count(const EventQuery& q) const { return query(q).size(); }
-
-  [[nodiscard]] std::size_t size() const { return events_.size(); }
-  [[nodiscard]] const std::vector<StoredEvent>& all() const { return events_; }
-
-  /// Distinct flows that experienced any event matching `query`.
-  [[nodiscard]] std::vector<packet::FlowKey> distinct_flows(const EventQuery& query) const {
-    std::unordered_set<packet::FlowKey, packet::FlowKeyHash> seen;
-    std::vector<packet::FlowKey> out;
-    for (const auto& stored : this->query(query)) {
-      if (seen.insert(stored.event.flow).second) out.push_back(stored.event.flow);
-    }
-    return out;
-  }
-
-  /// Sum of event counters matching `query` (total affected packets).
-  [[nodiscard]] std::uint64_t total_counter(const EventQuery& query) const {
-    std::uint64_t total = 0;
-    for (const auto& stored : this->query(query)) total += stored.event.counter;
-    return total;
-  }
-
- private:
-  std::vector<StoredEvent> events_;
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> by_flow_;
-  std::unordered_map<util::NodeId, std::vector<std::size_t>> by_switch_;
 };
 
 }  // namespace netseer::backend

@@ -24,8 +24,8 @@ namespace netseer::store {
 /// The memtable keeps one index across appends and extends it at plan
 /// time over the rows added since the last query; sealing moves it into
 /// the new Segment, which extends it over whatever rows arrived after
-/// that query. NOT thread-safe: the query planner extends indexes
-/// serially before any parallel scan fans out (workers only read rows).
+/// that query. NOT thread-safe: only the query planner, on the querying
+/// thread, extends indexes.
 class RowIndex {
  public:
   using Posting = std::vector<std::uint32_t>;

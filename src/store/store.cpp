@@ -9,7 +9,6 @@
 #include <unordered_set>
 
 #include "packet/addr.h"
-#include "store/executor.h"
 #include "store/subscription.h"
 #include "store/writer.h"
 
@@ -36,37 +35,6 @@ QueryCursor::QueryCursor(const FlowEventStore& event_store, const backend::Event
     }
   }
   if (!store_->memtable_.empty()) (void)plan_run(store_->memtable_, nullptr);
-
-  // Scatter-gather: with a pool and more than one planned run,
-  // pre-filter every run's rows in parallel. Gather order is the plan
-  // (= LSN) order, so parallel and serial cursors emit identically;
-  // per-task stat tallies merge after the barrier because StoreStats
-  // is not atomic.
-  if (store_->pool_ != nullptr && plans_.size() > 1) {
-    parallel_ = true;
-    matches_.resize(plans_.size());
-    struct Tally {
-      std::uint64_t examined = 0;
-      std::uint64_t matched = 0;
-    };
-    std::vector<Tally> tallies(plans_.size());
-    store_->pool_->run(plans_.size(), [&](std::size_t i) {
-      const RunPlan& plan = plans_[i];
-      std::vector<std::uint32_t>& out = matches_[i];
-      for (std::size_t k = 0; k < plan.size; ++k) {
-        const auto row = plan.candidates != nullptr ? plan.candidates[k]
-                                                    : static_cast<std::uint32_t>(k);
-        if (query_.matches(plan.rows[row].stored)) out.push_back(row);
-      }
-      tallies[i] = Tally{plan.size, out.size()};
-    });
-    for (const Tally& tally : tallies) {
-      stats.rows_examined += tally.examined;
-      stats.rows_matched += tally.matched;
-    }
-    ++stats.parallel_queries;
-    stats.parallel_tasks += plans_.size();
-  }
 
   // Rows still in shard buffers, in global append order. Shard
   // iteration order is a hash-map artifact, so sort by the append
@@ -159,21 +127,14 @@ const backend::StoredEvent* QueryCursor::next() {
   StoreStats& stats = store_->stats_;
   while (plan_idx_ < plans_.size()) {
     const RunPlan& plan = plans_[plan_idx_];
-    if (parallel_) {
-      // Rows were pre-filtered (and counted) at construction: walk the
-      // match lists straight through, in plan order.
-      const std::vector<std::uint32_t>& matches = matches_[plan_idx_];
-      if (row_idx_ < matches.size()) return &plan.rows[matches[row_idx_++]].stored;
-    } else {
-      while (row_idx_ < plan.size) {
-        const std::size_t row = plan.candidates != nullptr ? plan.candidates[row_idx_] : row_idx_;
-        ++row_idx_;
-        ++stats.rows_examined;
-        const backend::StoredEvent& stored = plan.rows[row].stored;
-        if (query_.matches(stored)) {
-          ++stats.rows_matched;
-          return &stored;
-        }
+    while (row_idx_ < plan.size) {
+      const std::size_t row = plan.candidates != nullptr ? plan.candidates[row_idx_] : row_idx_;
+      ++row_idx_;
+      ++stats.rows_examined;
+      const backend::StoredEvent& stored = plan.rows[row].stored;
+      if (query_.matches(stored)) {
+        ++stats.rows_matched;
+        return &stored;
       }
     }
     ++plan_idx_;
@@ -200,9 +161,6 @@ FlowEventStore::FlowEventStore(StoreOptions options) : options_(std::move(option
   if (durable()) {
     util::MutexLock lock(maint_mu_);
     recover_from_dir();
-  }
-  if (options_.query_threads > 1) {
-    pool_ = std::make_unique<QueryPool>(options_.query_threads);
   }
 }
 
@@ -554,12 +512,6 @@ QueryCursor FlowEventStore::scan(const backend::EventQuery& event_query) const {
 Subscription FlowEventStore::subscribe(backend::EventQuery event_query,
                                        std::uint64_t from_lsn) const {
   return Subscription(*this, std::move(event_query), from_lsn);
-}
-
-void FlowEventStore::set_query_threads(std::size_t threads) {
-  options_.query_threads = threads;
-  pool_.reset();
-  if (threads > 1) pool_ = std::make_unique<QueryPool>(threads);
 }
 
 const StoreStats& FlowEventStore::stats() const {

@@ -9,7 +9,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "backend/event_sink.h"
 #include "backend/event_store.h"
 #include "sim/simulator.h"
 #include "store/segment.h"
@@ -20,7 +19,6 @@
 namespace netseer::store {
 
 class GroupCommitWriter;
-class QueryPool;
 class Subscription;
 
 /// Tuning and placement knobs for FlowEventStore. An empty `dir` runs
@@ -53,10 +51,6 @@ struct StoreOptions {
   /// loss window). With the group-commit writer this means the ingest
   /// thread blocks on the durable watermark after every batch.
   bool sync_every_batch = false;
-
-  /// Scatter-gather parallelism for scan(): segment scans fan out over
-  /// this many threads (including the caller). 1 = serial (default).
-  std::size_t query_threads = 1;
 
   /// Group-commit handoff depth, in shard batches. A full ring blocks
   /// ingest (bounded memory) until the writer thread drains.
@@ -101,8 +95,6 @@ struct StoreStats {
   std::uint64_t full_segment_scans = 0;
   std::uint64_t rows_examined = 0;
   std::uint64_t rows_matched = 0;
-  std::uint64_t parallel_queries = 0;  // cursors that fanned out on the pool
-  std::uint64_t parallel_tasks = 0;    // segment scans dispatched to it
 
   // Subscriptions.
   std::uint64_t subscription_polls = 0;
@@ -144,9 +136,7 @@ class FlowEventStore;
 ///
 /// Planning extends the memtable's index over rows appended since the
 /// last query, and builds a segment's postings or time order on first
-/// use. Rows are filtered lazily as next() advances (or eagerly, in
-/// parallel, when the store has a query pool — the merge is by plan
-/// order either way, so both paths emit identically). Rows still in
+/// use. Rows are filtered lazily as next() advances. Rows still in
 /// shard buffers are copied into the cursor and filtered last. An empty
 /// window (from >= to) plans nothing.
 ///
@@ -217,9 +207,6 @@ class QueryCursor {
   // them (a moved vector keeps its buffer).
   std::vector<std::vector<std::uint32_t>> selected_;
   std::vector<std::uint64_t> marks_;  // plan_run's scratch bitmap
-  // Parallel path: per-plan pre-filtered row indexes (scatter output).
-  bool parallel_ = false;
-  std::vector<std::vector<std::uint32_t>> matches_;
   // Rows still in shard buffers, in global append order.
   std::vector<const backend::StoredEvent*> tail_;
   std::size_t plan_idx_ = 0;
@@ -227,24 +214,29 @@ class QueryCursor {
   std::size_t tail_idx_ = 0;
 };
 
-/// The durable, sharded flow-event store behind the backend collector:
-/// per-switch batch buffers feed a CRC-framed write-ahead log, rows
-/// accumulate in a memtable that seals into immutable time-partitioned
-/// segments, background maintenance compacts and applies retention, and
-/// queries read the segments' and the memtable's indexes instead of
-/// scanning. Drop-in query-compatible with backend::EventStore.
-class FlowEventStore final : public backend::EventSink {
+/// The flow-event store behind the backend collector, in memory or
+/// durable: per-switch batch buffers feed a CRC-framed write-ahead log,
+/// rows accumulate in a memtable that seals into immutable
+/// time-partitioned segments, background maintenance compacts and
+/// applies retention, and queries read the segments' and the memtable's
+/// indexes instead of scanning.
+class FlowEventStore {
  public:
   NETSEER_BLOCKING explicit FlowEventStore(StoreOptions options = {});
-  NETSEER_BLOCKING ~FlowEventStore() override;
+  NETSEER_BLOCKING ~FlowEventStore();
 
   FlowEventStore(const FlowEventStore&) = delete;
   FlowEventStore& operator=(const FlowEventStore&) = delete;
 
   // ---- Ingest ----------------------------------------------------------
-  /// Append a batch through the per-switch shard buffers (the primary
-  /// EventSink entry point; add() is the inherited one-element wrapper).
-  void add_batch(std::span<const core::FlowEvent> events, util::SimTime now) override;
+  /// Append a batch through the per-switch shard buffers. Returning
+  /// does not make the rows durable: wait on sync() for that. Rows get
+  /// their LSNs per shard batch, so the store's order is arrival order
+  /// only across events of one switch (or with shard_batch = 1).
+  void add_batch(std::span<const core::FlowEvent> events, util::SimTime now);
+
+  /// One-element convenience wrapper over add_batch.
+  void add(const core::FlowEvent& event, util::SimTime now) { add_batch({&event, 1}, now); }
 
   /// Flush every shard buffer into the memtable and hand the rows to
   /// the group-commit writer (appended, not necessarily fsynced).
@@ -258,7 +250,7 @@ class FlowEventStore final : public backend::EventSink {
   /// Highest LSN known durable: the group-commit watermark, sealed
   /// durable segments, or explicit syncs — whichever is furthest.
   [[nodiscard]] std::uint64_t durable_lsn() const;
-  [[nodiscard]] std::uint64_t durable_watermark() const override { return durable_lsn(); }
+  [[nodiscard]] std::uint64_t durable_watermark() const { return durable_lsn(); }
 
   // ---- Lifecycle -------------------------------------------------------
   // The maintenance entry points serialize on maint_mu_ (annotated,
@@ -291,8 +283,7 @@ class FlowEventStore final : public backend::EventSink {
 
   // ---- Query -----------------------------------------------------------
   /// The unified query surface: build an EventQuery (aggregate or
-  /// fluent), scan() it, iterate the cursor. When options.query_threads
-  /// > 1 the cursor scatter-gathers segment scans over the pool.
+  /// fluent), scan() it, iterate the cursor.
   [[nodiscard]] QueryCursor scan(const backend::EventQuery& query) const;
 
   /// Tail the durable watermark: a pull-model subscription delivering
@@ -303,9 +294,6 @@ class FlowEventStore final : public backend::EventSink {
   /// blocks ingest (rows it missed past retention count as lag).
   [[nodiscard]] Subscription subscribe(backend::EventQuery query = {},
                                        std::uint64_t from_lsn = 0) const;
-
-  /// Resize the scatter-gather pool (e.g. tools/benches after open).
-  void set_query_threads(std::size_t threads);
 
   // Thin wrappers over scan(), kept so pre-cursor call sites compile;
   // prefer scan() in new code.
@@ -373,7 +361,6 @@ class FlowEventStore final : public backend::EventSink {
   std::unique_ptr<WalWriter> wal_;
   /// Declared after wal_ so it is destroyed (thread joined) first.
   std::unique_ptr<GroupCommitWriter> writer_;
-  std::unique_ptr<QueryPool> pool_;
   RecoveryInfo recovery_;
   mutable StoreStats stats_;  // query counters tick under const
 

@@ -3,7 +3,6 @@
 #include <string>
 
 #include "backend/collector.h"
-#include "backend/event_store.h"
 #include "core/netseer_app.h"
 #include "packet/pool.h"
 #include "pdp/resources.h"
@@ -176,10 +175,6 @@ void collect(Registry& registry, const backend::Collector& collector) {
   registry.counter(kBackend, "window_drops", node).add(collector.window_dropped_segments());
 }
 
-void collect(Registry& registry, const backend::EventStore& store) {
-  registry.gauge(kBackend, "store.events").update_max(static_cast<std::int64_t>(store.size()));
-}
-
 void collect(Registry& registry, const store::FlowEventStore& flow_store) {
   const auto& s = flow_store.stats();
   registry.counter(kStore, "appended").add(s.appended);
@@ -210,8 +205,6 @@ void collect(Registry& registry, const store::FlowEventStore& flow_store) {
   registry.counter(kStore, "query.full_segment_scans").add(s.full_segment_scans);
   registry.counter(kStore, "query.rows_examined").add(s.rows_examined);
   registry.counter(kStore, "query.rows_matched").add(s.rows_matched);
-  registry.counter(kStore, "query.parallel_queries").add(s.parallel_queries);
-  registry.counter(kStore, "query.parallel_tasks").add(s.parallel_tasks);
   registry.counter(kStore, "subscription.polls").add(s.subscription_polls);
   registry.counter(kStore, "subscription.rows").add(s.subscription_rows);
   registry.counter(kStore, "subscription.lagged_rows").add(s.subscription_lagged_rows);

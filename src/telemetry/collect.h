@@ -11,7 +11,6 @@ class NetSeerApp;
 }
 namespace netseer::backend {
 class Collector;
-class EventStore;
 }
 namespace netseer::store {
 class FlowEventStore;
@@ -53,9 +52,6 @@ void collect(Registry& registry, const core::NetSeerApp& app);
 /// Subsystem "backend": segments/events ingested, duplicates removed,
 /// reorder-window drops.
 void collect(Registry& registry, const backend::Collector& collector);
-
-/// Subsystem "backend": current store population (global gauge).
-void collect(Registry& registry, const backend::EventStore& store);
 
 /// Subsystem "store": the durable store's lifecycle counters — ingest
 /// (events appended, batches flushed), WAL traffic (records/bytes/syncs,

@@ -8,10 +8,10 @@
 #include <vector>
 
 #include "backend/collector.h"
-#include "backend/event_store.h"
 #include "core/event.h"
 #include "core/report.h"
 #include "sim/simulator.h"
+#include "store/store.h"
 
 namespace netseer::backend {
 namespace {
@@ -38,7 +38,7 @@ core::ReportMsg data_segment(std::uint32_t seq) {
 TEST(CollectorWindow, DropsSegmentsBeyondWindowAndAcceptsRedelivery) {
   sim::Simulator sim;
   core::ReportChannel channel(sim, util::Rng(7), util::microseconds(1), 0.0);
-  EventStore store;
+  store::FlowEventStore store;
   Collector collector(sim, kBackend, channel, store);
 
   std::vector<std::uint32_t> acks;
@@ -93,7 +93,7 @@ TEST(CollectorWindow, DropsSegmentsBeyondWindowAndAcceptsRedelivery) {
 TEST(CollectorWindow, WindowIsPerPeer) {
   sim::Simulator sim;
   core::ReportChannel channel(sim, util::Rng(7), util::microseconds(1), 0.0);
-  EventStore store;
+  store::FlowEventStore store;
   Collector collector(sim, kBackend, channel, store);
 
   // Peer A gets stuck at a gap; peer B's in-order stream is unaffected.

@@ -4,11 +4,11 @@
 #include <gtest/gtest.h>
 
 #include "backend/collector.h"
-#include "backend/event_store.h"
 #include "core/netseer_app.h"
 #include "core/nic_agent.h"
 #include "fabric/network.h"
 #include "packet/builder.h"
+#include "store/store.h"
 
 namespace netseer::core {
 namespace {
@@ -31,7 +31,7 @@ struct Rig {
     net.connect_host(*s1, 1, *h2, util::microseconds(1));
     net.compute_routes();
 
-    store = std::make_unique<backend::EventStore>();
+    store = std::make_unique<store::FlowEventStore>();
     collector = std::make_unique<backend::Collector>(net.simulator(), 1000, channel, *store);
     app = std::make_unique<NetSeerApp>(*s1, config, &channel, 1000);
   }
@@ -47,7 +47,7 @@ struct Rig {
   pdp::Switch* s1;
   net::Host* h1;
   net::Host* h2;
-  std::unique_ptr<backend::EventStore> store;
+  std::unique_ptr<store::FlowEventStore> store;
   std::unique_ptr<backend::Collector> collector;
   std::unique_ptr<NetSeerApp> app;
 };

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "backend/collector.h"
-#include "backend/event_store.h"
 #include "core/netseer_app.h"
 #include "core/nic_agent.h"
 #include "fabric/multiboard.h"
@@ -13,6 +12,7 @@
 #include "monitors/pingmesh.h"
 #include "monitors/syslog.h"
 #include "packet/builder.h"
+#include "store/store.h"
 #include "traffic/tcp.h"
 
 namespace netseer::core {
@@ -41,7 +41,7 @@ struct Rig {
     (void)l21;
     net.compute_routes();
 
-    store = std::make_unique<backend::EventStore>();
+    store = std::make_unique<store::FlowEventStore>();
     collector = std::make_unique<backend::Collector>(net.simulator(), 1000, channel, *store);
     app1 = std::make_unique<NetSeerApp>(*s1, config, &channel, 1000);
     app2 = std::make_unique<NetSeerApp>(*s2, config, &channel, 1000);
@@ -68,7 +68,7 @@ struct Rig {
   net::Host* h2;
   net::Host* h3;
   net::Link* s1_to_s2;
-  std::unique_ptr<backend::EventStore> store;
+  std::unique_ptr<store::FlowEventStore> store;
   std::unique_ptr<backend::Collector> collector;
   std::unique_ptr<NetSeerApp> app1;
   std::unique_ptr<NetSeerApp> app2;
@@ -207,7 +207,7 @@ TEST(MultiBoard, InterCardDropsRecoveredLikeInterSwitch) {
   net.connect_host(*chassis.board_b, 0, h2, util::microseconds(1));
   net.compute_routes();
 
-  backend::EventStore store;
+  store::FlowEventStore store;
   backend::Collector collector(net.simulator(), 1000, channel, store);
   NetSeerConfig config;
   NetSeerApp app_a(*chassis.board_a, config, &channel, 1000);

@@ -3,10 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "backend/collector.h"
-#include "backend/event_store.h"
 #include "core/nic_agent.h"
 #include "fabric/network.h"
 #include "packet/builder.h"
+#include "store/store.h"
 
 namespace netseer::core {
 namespace {
@@ -37,7 +37,7 @@ struct Rig {
     s2_to_s1 = l21;
     net.compute_routes();
 
-    store = std::make_unique<backend::EventStore>();
+    store = std::make_unique<store::FlowEventStore>();
     collector = std::make_unique<backend::Collector>(net.simulator(), 1000, channel, *store);
     app1 = std::make_unique<NetSeerApp>(*s1, config, &channel, 1000);
     app2 = std::make_unique<NetSeerApp>(*s2, config, &channel, 1000);
@@ -88,7 +88,7 @@ struct Rig {
   net::Host* h3;
   net::Link* s1_to_s2;
   net::Link* s2_to_s1;
-  std::unique_ptr<backend::EventStore> store;
+  std::unique_ptr<store::FlowEventStore> store;
   std::unique_ptr<backend::Collector> collector;
   std::unique_ptr<NetSeerApp> app1;
   std::unique_ptr<NetSeerApp> app2;

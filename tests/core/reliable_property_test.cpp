@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "backend/collector.h"
-#include "backend/event_store.h"
 #include "core/reliable.h"
+#include "store/store.h"
 
 namespace netseer::core {
 namespace {
@@ -15,7 +15,7 @@ TEST_P(ReliableProperty, ExactlyOnceDeliveryUnderLoss) {
   const double loss = GetParam();
   sim::Simulator sim;
   ReportChannel channel(sim, util::Rng(17), util::milliseconds(1), loss);
-  backend::EventStore store;
+  store::FlowEventStore store;
   backend::Collector collector(sim, 100, channel, store);
   ReliableReporter reporter(sim, channel, 1, 100);
   channel.register_endpoint(1, [&](util::NodeId, const ReportMsg& msg) {

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "backend/collector.h"
-#include "backend/event_store.h"
+#include "store/store.h"
 
 namespace netseer::core {
 namespace {
@@ -33,7 +33,7 @@ struct Rig {
   }
   sim::Simulator sim;
   ReportChannel channel;
-  backend::EventStore store;
+  store::FlowEventStore store;
   backend::Collector collector;
   ReliableReporter reporter;
 };
@@ -113,7 +113,7 @@ TEST(Collector, MultipleReportersIsolated) {
 TEST(ReliableReporter, PacingSpreadsSends) {
   sim::Simulator sim;
   ReportChannel channel(sim, util::Rng(7), util::milliseconds(1), 0.0);
-  backend::EventStore store;
+  store::FlowEventStore store;
   backend::Collector collector(sim, 100, channel, store);
   ReliableReporterConfig config;
   config.pacing_rate = util::BitRate::kbps(100);  // very slow

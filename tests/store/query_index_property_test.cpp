@@ -6,8 +6,7 @@
 // out of order in detected_at (negative times included). After every
 // step, every subset of {flow, type, switch, from, to} is compared with
 // a brute-force filter over the store's full scan: same rows, same
-// order, from the serial cursor and from a 4-thread scatter-gather
-// cursor alike.
+// order.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -146,10 +145,10 @@ class Driver {
     std::vector<backend::EventQuery> queries;
     for (unsigned subset = 0; subset < 32; ++subset) queries.push_back(random_query(subset));
 
-    std::vector<std::vector<backend::StoredEvent>> serial;
+    std::vector<std::vector<backend::StoredEvent>> results;
     for (const auto& query : queries) {
       const auto examined_before = store_->stats().rows_examined;
-      serial.push_back(run(query));
+      results.push_back(run(query));
       const auto examined = store_->stats().rows_examined - examined_before;
       // Structural: past the shard buffers, a flow (or switch) query
       // reads only its posting's rows, in the memtable as in segments.
@@ -164,10 +163,6 @@ class Driver {
         EXPECT_LE(examined, posted + unflushed_);
       }
     }
-    store_->set_query_threads(4);
-    std::vector<std::vector<backend::StoredEvent>> parallel;
-    for (const auto& query : queries) parallel.push_back(run(query));
-    store_->set_query_threads(1);
 
     for (unsigned subset = 0; subset < 32; ++subset) {
       SCOPED_TRACE("subset " + std::to_string(subset));
@@ -175,13 +170,10 @@ class Driver {
       for (const auto& stored : all) {
         if (queries[subset].matches(stored)) want.push_back(stored);
       }
-      ASSERT_EQ(serial[subset].size(), want.size());
-      ASSERT_EQ(parallel[subset].size(), want.size());
+      ASSERT_EQ(results[subset].size(), want.size());
       for (std::size_t i = 0; i < want.size(); ++i) {
-        ASSERT_EQ(serial[subset][i].event, want[i].event) << "row " << i;
-        ASSERT_EQ(serial[subset][i].stored_at, want[i].stored_at) << "row " << i;
-        ASSERT_EQ(parallel[subset][i].event, want[i].event) << "row " << i;
-        ASSERT_EQ(parallel[subset][i].stored_at, want[i].stored_at) << "row " << i;
+        ASSERT_EQ(results[subset][i].event, want[i].event) << "row " << i;
+        ASSERT_EQ(results[subset][i].stored_at, want[i].stored_at) << "row " << i;
       }
     }
   }

@@ -1,14 +1,17 @@
-// Satellite: EventQuery parity. The same event stream goes into the
-// reference backend::EventStore (the oracle) and into store::FlowEventStore,
-// and every query shape must return identical results — element for
-// element, in the same order — in every lifecycle state: with rows still
-// in shard buffers, after sealing, after compaction, and after a durable
-// round trip through segment files.
+// EventQuery parity. The same event stream goes into a plain vector of
+// every inserted row (the oracle: EventQuery::matches over all of it,
+// the definition of a match, with no index that could share a bug with
+// the store) and into store::FlowEventStore, and every query shape must
+// return identical results — element for element, in the same order — in
+// every lifecycle state: sealed segments plus a memtable, after sealing,
+// after compaction, and after a durable round trip through segment
+// files.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "backend/event_store.h"
@@ -106,27 +109,50 @@ std::vector<backend::EventQuery> query_shapes() {
   return shapes;
 }
 
-void expect_parity(const backend::EventStore& oracle, const FlowEventStore& fstore,
-                   const std::string& state) {
+/// Every inserted row, in insertion order.
+using Oracle = std::vector<backend::StoredEvent>;
+
+std::vector<backend::StoredEvent> brute_force(const Oracle& oracle,
+                                              const backend::EventQuery& query) {
+  std::vector<backend::StoredEvent> out;
+  for (const auto& stored : oracle) {
+    if (query.matches(stored)) out.push_back(stored);
+  }
+  return out;
+}
+
+void expect_parity(const Oracle& oracle, const FlowEventStore& fstore, const std::string& state) {
   ASSERT_EQ(oracle.size(), fstore.size()) << state;
   std::size_t shape_idx = 0;
   for (const auto& query : query_shapes()) {
     SCOPED_TRACE(state + ", query shape #" + std::to_string(shape_idx++));
-    const auto want = oracle.query(query);
+    const auto want = brute_force(oracle, query);
     const auto got = fstore.query(query);
     ASSERT_EQ(got.size(), want.size());
+    std::uint64_t want_counter = 0;
+    std::vector<packet::FlowKey> want_flows;
     for (std::size_t i = 0; i < got.size(); ++i) {
       ASSERT_EQ(got[i].event, want[i].event) << "row " << i;
       ASSERT_EQ(got[i].stored_at, want[i].stored_at) << "row " << i;
+      want_counter += want[i].event.counter;
+      if (std::find(want_flows.begin(), want_flows.end(), want[i].event.flow) ==
+          want_flows.end()) {
+        want_flows.push_back(want[i].event.flow);
+      }
     }
-    EXPECT_EQ(fstore.count(query), oracle.count(query));
-    EXPECT_EQ(fstore.total_counter(query), oracle.total_counter(query));
-    const auto want_flows = oracle.distinct_flows(query);
-    const auto got_flows = fstore.distinct_flows(query);
-    ASSERT_EQ(got_flows.size(), want_flows.size());
-    for (std::size_t i = 0; i < got_flows.size(); ++i) {
-      EXPECT_EQ(got_flows[i], want_flows[i]);
-    }
+    EXPECT_EQ(fstore.count(query), want.size());
+    EXPECT_EQ(fstore.total_counter(query), want_counter);
+    EXPECT_EQ(fstore.distinct_flows(query), want_flows);  // first-seen order
+  }
+}
+
+/// Insert kEvents generated events into both the oracle and the store.
+void fill(Oracle& oracle, FlowEventStore& fstore) {
+  Gen gen;
+  for (std::uint64_t i = 0; i < kEvents; ++i) {
+    const auto ev = gen.next(i);
+    oracle.push_back(backend::StoredEvent{ev, ev.detected_at + 1});
+    fstore.add(ev, ev.detected_at + 1);
   }
 }
 
@@ -142,14 +168,9 @@ StoreOptions parity_options() {
 }
 
 TEST(QueryParity, MatchesOracleAcrossLifecycleStates) {
-  backend::EventStore oracle;
+  Oracle oracle;
   FlowEventStore fstore(parity_options());
-  Gen gen;
-  for (std::uint64_t i = 0; i < kEvents; ++i) {
-    const auto ev = gen.next(i);
-    oracle.add(ev, ev.detected_at + 1);
-    fstore.add(ev, ev.detected_at + 1);
-  }
+  fill(oracle, fstore);
   // Mixed state: sealed segments plus a memtable remainder.
   expect_parity(oracle, fstore, "mixed segments+memtable");
 
@@ -163,17 +184,12 @@ TEST(QueryParity, MatchesOracleAcrossLifecycleStates) {
 TEST(QueryParity, MatchesOracleThroughDurableReopen) {
   const auto dir = (fs::temp_directory_path() / "netseer_query_parity_test").string();
   fs::remove_all(dir);
-  backend::EventStore oracle;
+  Oracle oracle;
   {
     auto options = parity_options();
     options.dir = dir;
     FlowEventStore fstore(options);
-    Gen gen;
-    for (std::uint64_t i = 0; i < kEvents; ++i) {
-      const auto ev = gen.next(i);
-      oracle.add(ev, ev.detected_at + 1);
-      fstore.add(ev, ev.detected_at + 1);
-    }
+    fill(oracle, fstore);
     fstore.checkpoint();
     expect_parity(oracle, fstore, "durable, pre-close");
   }
@@ -187,27 +203,22 @@ TEST(QueryParity, MatchesOracleThroughDurableReopen) {
 // With real shard batching the LSN order differs from insertion order,
 // but the *set* of results must still agree for every query shape.
 TEST(QueryParity, BatchedShardsAgreeAsMultisets) {
-  backend::EventStore oracle;
+  Oracle oracle;
   auto options = parity_options();
   options.shard_batch = 16;
   FlowEventStore fstore(options);
-  Gen gen;
-  for (std::uint64_t i = 0; i < kEvents; ++i) {
-    const auto ev = gen.next(i);
-    oracle.add(ev, ev.detected_at + 1);
-    fstore.add(ev, ev.detected_at + 1);
-  }
+  fill(oracle, fstore);
   const auto sort_key = [](const backend::StoredEvent& a, const backend::StoredEvent& b) {
-    if (a.event.detected_at != b.event.detected_at) {
-      return a.event.detected_at < b.event.detected_at;
-    }
-    if (a.event.switch_id != b.event.switch_id) return a.event.switch_id < b.event.switch_id;
-    return a.event.flow.hash64() < b.event.flow.hash64();
+    const auto key = [](const backend::StoredEvent& s) {
+      return std::make_tuple(s.event.detected_at, s.event.switch_id, s.event.flow.hash64(),
+                             s.event.type, s.event.counter, s.stored_at);
+    };
+    return key(a) < key(b);
   };
   std::size_t shape_idx = 0;
   for (const auto& query : query_shapes()) {
     SCOPED_TRACE("query shape #" + std::to_string(shape_idx++));
-    auto want = oracle.query(query);
+    auto want = brute_force(oracle, query);
     auto got = fstore.query(query);
     ASSERT_EQ(got.size(), want.size());
     std::sort(want.begin(), want.end(), sort_key);

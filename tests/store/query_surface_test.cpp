@@ -1,21 +1,13 @@
 // The unified query surface: EventQuery's fluent builder, the
-// range-for QueryCursor, the generation counter that turns
-// use-after-mutation into an abort instead of a read of freed rows, and
-// the scatter-gather parallel path (which must emit exactly what the
-// serial cursor emits, in the same order, because the merge is by
-// segment LSN either way). QueryPool gets its own unit coverage at the
-// bottom — every task runs exactly once per run(), across reuse and
-// uneven task counts.
+// range-for QueryCursor, and the generation counter that turns
+// use-after-mutation into an abort instead of a read of freed rows.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <numeric>
 #include <vector>
 
 #include "backend/event_store.h"
 #include "core/event.h"
-#include "store/executor.h"
 #include "store/store.h"
 
 namespace netseer::store {
@@ -121,35 +113,6 @@ TEST(QuerySurfaceDeathTest, MutationUnderACursorAbortsInsteadOfReadingFreedRows)
       "used after store mutation");
 }
 
-TEST(QuerySurfaceTest, ParallelCursorMatchesSerialExactly) {
-  FlowEventStore fs(seeded_options(64));  // small segments: many to scatter over
-  seed(fs, 2000);
-  fs.seal_active();
-  const std::vector<backend::EventQuery> queries{
-      backend::EventQuery{},
-      backend::EventQuery{}.of_type(core::EventType::kDrop),
-      backend::EventQuery{}.for_switch(3).between(5'000, 150'000),
-      backend::EventQuery{}.for_flow(sample_event(7).flow),
-      backend::EventQuery{}.between(190'000, 200'000),
-  };
-  for (const auto& query : queries) {
-    const auto serial = fs.query(query);
-    fs.set_query_threads(4);
-    auto cursor = fs.scan(query);
-    std::vector<backend::StoredEvent> parallel;
-    while (const auto* stored = cursor.next()) parallel.push_back(*stored);
-    fs.set_query_threads(1);
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (std::size_t i = 0; i < parallel.size(); ++i) {
-      EXPECT_EQ(parallel[i].event, serial[i].event) << "row " << i;
-      EXPECT_EQ(parallel[i].stored_at, serial[i].stored_at) << "row " << i;
-    }
-  }
-  // And the pool actually ran: cursors fanned out, tasks were dispatched.
-  EXPECT_EQ(fs.stats().parallel_queries, queries.size());
-  EXPECT_GT(fs.stats().parallel_tasks, 0u);
-}
-
 TEST(QuerySurfaceTest, DeprecatedWrappersAgreeWithScan) {
   FlowEventStore fs(seeded_options());
   seed(fs, 500);
@@ -164,60 +127,6 @@ TEST(QuerySurfaceTest, DeprecatedWrappersAgreeWithScan) {
   EXPECT_EQ(fs.count(query), rows);
   EXPECT_EQ(fs.query(query).size(), rows);
   EXPECT_EQ(fs.total_counter(query), counter_sum);
-}
-
-TEST(QueryPoolTest, EveryTaskRunsExactlyOnce) {
-  QueryPool pool(4);
-  EXPECT_EQ(pool.threads(), 4u);
-  for (const std::size_t tasks : {0u, 1u, 3u, 17u, 256u}) {
-    std::vector<std::atomic<int>> hits(tasks == 0 ? 1 : tasks);
-    for (auto& h : hits) h.store(0);
-    pool.run(tasks, [&](std::size_t task) { hits[task].fetch_add(1); });
-    for (std::size_t i = 0; i < tasks; ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "task " << i << " of " << tasks;
-    }
-  }
-}
-
-TEST(QueryPoolTest, SerialPoolSpawnsNoWorkers) {
-  QueryPool pool(1);
-  EXPECT_EQ(pool.threads(), 1u);
-  std::size_t sum = 0;
-  pool.run(10, [&](std::size_t task) { sum += task; });  // caller-only: no data race
-  EXPECT_EQ(sum, 45u);
-}
-
-TEST(QueryPoolTest, ReusableAcrossManyRuns) {
-  QueryPool pool(3);
-  std::atomic<std::size_t> total{0};
-  for (int round = 0; round < 50; ++round) {
-    pool.run(8, [&](std::size_t) { total.fetch_add(1); });
-  }
-  EXPECT_EQ(total.load(), 400u);
-}
-
-TEST(QueryPoolTest, BackToBackRunsNeverLeakAClaimIntoTheNextRun) {
-  // A worker that has finished its last task of one run still makes a
-  // final claim on the shared counter. That claim must not land in the
-  // next run (where it would steal a task it then runs with the old
-  // function, or drop it and hang run()). Task counts alternate so a
-  // stale claim would fall inside the next run's range.
-  QueryPool pool(4);
-  for (int round = 0; round < 5000; ++round) {
-    const std::size_t tasks = 2 + static_cast<std::size_t>(round % 3);
-    std::vector<std::atomic<int>> hits(tasks);
-    for (auto& h : hits) h.store(0);
-    pool.run(tasks, [&](std::size_t task) {
-      // Long enough that parked workers wake and join the run.
-      const auto until = std::chrono::steady_clock::now() + std::chrono::microseconds(20);
-      while (std::chrono::steady_clock::now() < until) {
-      }
-      hits[task].fetch_add(1);
-    });
-    for (std::size_t i = 0; i < tasks; ++i) {
-      ASSERT_EQ(hits[i].load(), 1) << "round " << round << ", task " << i;
-    }
-  }
 }
 
 }  // namespace

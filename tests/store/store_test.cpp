@@ -439,5 +439,135 @@ TEST_F(StoreTest, WalDeathKeepsStoreServingFromMemory) {
   EXPECT_EQ(store.count(any), 40u);
 }
 
+// The operator query shapes of §3.2 step 4 over a four-row store: by
+// flow, device, type and period, combined, plus the aggregate helpers
+// and the batch ingest contract. shard_batch = 1 gives every event its
+// LSN on arrival, so the store's order is arrival order and the durable
+// watermark of an in-memory store is the applied count.
+core::FlowEvent shape_event(core::EventType type, std::uint16_t sport, util::NodeId sw,
+                            util::SimTime at) {
+  return core::make_event(type,
+                          packet::FlowKey{packet::Ipv4Addr::from_octets(10, 0, 0, 1),
+                                          packet::Ipv4Addr::from_octets(10, 0, 0, 2), 6, sport,
+                                          80},
+                          sw, at);
+}
+
+packet::FlowKey shape_flow(std::uint16_t sport) {
+  return shape_event(core::EventType::kDrop, sport, 0, 0).flow;
+}
+
+class EventStoreTest : public ::testing::Test {
+ protected:
+  EventStoreTest() : store(arrival_order()) {
+    using core::EventType;
+    store.add(shape_event(EventType::kDrop, 1, 10, util::seconds(1)), util::seconds(1));
+    store.add(shape_event(EventType::kDrop, 2, 10, util::seconds(2)), util::seconds(2));
+    store.add(shape_event(EventType::kCongestion, 1, 20, util::seconds(3)), util::seconds(3));
+    store.add(shape_event(EventType::kPause, 3, 20, util::seconds(4)), util::seconds(4));
+  }
+  static StoreOptions arrival_order() {
+    StoreOptions options;
+    options.shard_batch = 1;
+    return options;
+  }
+  FlowEventStore store;
+};
+
+TEST_F(EventStoreTest, QueryAll) {
+  EXPECT_EQ(store.query(backend::EventQuery{}).size(), 4u);
+  EXPECT_EQ(store.size(), 4u);
+}
+
+TEST_F(EventStoreTest, QueryByFlow) {
+  const auto results = store.query(backend::EventQuery{}.for_flow(shape_flow(1)));
+  ASSERT_EQ(results.size(), 2u);  // drop at sw10 + congestion at sw20
+  for (const auto& r : results) EXPECT_EQ(r.event.flow, shape_flow(1));
+}
+
+TEST_F(EventStoreTest, QueryByDevice) {
+  EXPECT_EQ(store.query(backend::EventQuery{}.for_switch(20)).size(), 2u);
+}
+
+TEST_F(EventStoreTest, QueryByType) {
+  EXPECT_EQ(store.query(backend::EventQuery{}.of_type(core::EventType::kDrop)).size(), 2u);
+}
+
+TEST_F(EventStoreTest, QueryByPeriod) {
+  // t=2 and t=3; t=4 excluded.
+  EXPECT_EQ(
+      store.query(backend::EventQuery{}.between(util::seconds(2), util::seconds(4))).size(),
+      2u);
+}
+
+TEST_F(EventStoreTest, CombinedQuery) {
+  const auto results = store.query(
+      backend::EventQuery{}.for_flow(shape_flow(1)).of_type(core::EventType::kCongestion));
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].event.switch_id, 20u);
+}
+
+TEST_F(EventStoreTest, QueryUnknownFlowEmpty) {
+  EXPECT_TRUE(store.query(backend::EventQuery{}.for_flow(shape_flow(99))).empty());
+}
+
+TEST_F(EventStoreTest, DistinctFlows) {
+  EXPECT_EQ(store.distinct_flows(backend::EventQuery{}).size(), 3u);
+}
+
+TEST_F(EventStoreTest, TotalCounter) {
+  auto big = shape_event(core::EventType::kDrop, 7, 30, util::seconds(5));
+  big.counter = 100;
+  store.add(big, util::seconds(5));
+  EXPECT_EQ(store.total_counter(backend::EventQuery{}.for_switch(30)), 100u);
+}
+
+TEST_F(EventStoreTest, CountMatchesQuery) {
+  EXPECT_EQ(store.count(backend::EventQuery{}.of_type(core::EventType::kPause)), 1u);
+}
+
+// add_batch applies in span order after everything already added, and
+// every row of a batch carries the batch's arrival stamp.
+TEST_F(EventStoreTest, AddBatchAppliesInOrderAndIndexes) {
+  using core::EventType;
+  const core::FlowEvent batch[] = {
+      shape_event(EventType::kDrop, 9, 40, util::seconds(5)),
+      shape_event(EventType::kCongestion, 9, 40, util::seconds(6)),
+      shape_event(EventType::kDrop, 10, 41, util::seconds(7)),
+  };
+  store.add_batch({batch, 3}, util::seconds(8));
+  EXPECT_EQ(store.size(), 7u);
+  const auto rows = store.all();
+  ASSERT_EQ(rows.size(), 7u);
+  EXPECT_EQ(rows[4].event, batch[0]);
+  EXPECT_EQ(rows[5].event, batch[1]);
+  EXPECT_EQ(rows[6].event, batch[2]);
+  EXPECT_EQ(store.count(backend::EventQuery{}.for_flow(shape_flow(9))), 2u);
+  EXPECT_EQ(store.count(backend::EventQuery{}.for_switch(41)), 1u);
+  EXPECT_EQ(rows[4].stored_at, util::seconds(8));
+  EXPECT_EQ(rows[6].stored_at, util::seconds(8));
+}
+
+TEST_F(EventStoreTest, DurableWatermarkTracksAppliedCount) {
+  using core::EventType;
+  EXPECT_EQ(store.durable_watermark(), 4u);
+  const core::FlowEvent batch[] = {
+      shape_event(EventType::kDrop, 11, 50, util::seconds(9)),
+      shape_event(EventType::kPause, 12, 50, util::seconds(10)),
+  };
+  store.add_batch({batch, 2}, util::seconds(10));
+  EXPECT_EQ(store.durable_watermark(), 6u);
+  store.add(shape_event(EventType::kDrop, 13, 51, util::seconds(11)), util::seconds(11));
+  EXPECT_EQ(store.durable_watermark(), 7u);
+}
+
+TEST_F(EventStoreTest, EmptyBatchIsANoOp) {
+  const auto generation = store.generation();
+  store.add_batch({}, util::seconds(12));
+  EXPECT_EQ(store.size(), 4u);
+  EXPECT_EQ(store.durable_watermark(), 4u);
+  EXPECT_EQ(store.generation(), generation);
+}
+
 }  // namespace
 }  // namespace netseer::store

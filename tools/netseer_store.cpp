@@ -3,8 +3,7 @@
 //   netseer_store inspect <dir>            list segments, WAL files, fences
 //   netseer_store recover <dir>            replay the WAL, seal, checkpoint
 //   netseer_store compact <dir>            force compaction + checkpoint
-//   netseer_store query <dir> <spec> [th]  run a query (see --help for spec),
-//                                          scatter-gathered over th threads
+//   netseer_store query <dir> <spec>       run a query (see --help for spec)
 //   netseer_store tail <dir> [from-lsn]    subscription demo: stream every
 //                  [--metrics-out <path>]  durable row after from-lsn; prints
 //                                          subscription health on exit
@@ -17,7 +16,6 @@
 // directory left behind by a crash: it replays the log to the last valid
 // record, reports what was recovered and whether the tail was torn, and
 // rewrites the directory into a clean checkpointed state.
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <span>
@@ -40,7 +38,7 @@ int usage(const char* argv0) {
                "  inspect <dir>\n"
                "  recover <dir>\n"
                "  compact <dir>\n"
-               "  query <dir> <spec> [threads]\n"
+               "  query <dir> <spec>\n"
                "                       spec: type=drop,switch=3,from=0,to=1000000,\n"
                "                       flow=10.0.0.1:1234>10.0.0.2:80/6\n"
                "  tail <dir> [from-lsn] [--metrics-out <path>]\n"
@@ -271,11 +269,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (cmd == "query") {
-    if (argc < 4) return usage(argv[0]);
-    if (argc > 4) {
-      const auto threads = std::strtoull(argv[4], nullptr, 10);
-      fs.set_query_threads(std::max<std::size_t>(1, std::min<std::size_t>(threads, 64)));
-    }
+    if (argc != 4) return usage(argv[0]);
     return cmd_query(fs, argv[3]);
   }
   if (cmd == "tail") {
